@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/assert.h"
+#include "base/ring.h"
 #include "base/strings.h"
 #include "metrics/metrics.h"
 
@@ -94,7 +95,7 @@ class ApacheServer::Worker final : public GuestTask {
   }
 
   ApacheServer& server_;
-  std::deque<HttpRequest> queue_;
+  Ring<HttpRequest> queue_;  // bounded by accept_queue
   HttpRequest current_;
   int segments_left_ = 0;
   Bytes sent_offset_ = 0;
@@ -107,7 +108,7 @@ class ApacheServer::RequestSink final : public FlowSink {
   }
 
   void on_packet(Vcpu&, const PacketPtr& packet,
-                 std::function<void()> done) override {
+                 Continuation done) override {
     HttpRequest req{packet->flow, packet->probe_id};
     const size_t w = packet->flow % server_.workers_.size();
     if (!server_.workers_[w]->enqueue(req)) ++server_.accept_queue_drops_;
@@ -178,7 +179,7 @@ class ApacheServer::ListenerTask final : public GuestTask {
 
  private:
   ApacheServer& server_;
-  std::deque<PacketPtr> backlog_;
+  Ring<PacketPtr> backlog_;  // bounded by syn_backlog
 };
 
 class ApacheServer::ListenSink final : public FlowSink {
@@ -188,7 +189,7 @@ class ApacheServer::ListenSink final : public FlowSink {
   }
 
   void on_packet(Vcpu&, const PacketPtr& packet,
-                 std::function<void()> done) override {
+                 Continuation done) override {
     // Rung 3 of the overload ladder: SYN-cookie-style early shedding. The
     // listen path refuses new connections beyond a tiny backlog *before*
     // the expensive accept, reserving the remaining CPU for connections

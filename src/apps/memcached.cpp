@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/assert.h"
+#include "base/ring.h"
 #include "base/strings.h"
 #include "metrics/metrics.h"
 
@@ -76,7 +77,7 @@ class MemcachedServer::Worker final : public GuestTask {
 
  private:
   MemcachedServer& server_;
-  std::deque<PendingRequest> queue_;
+  Ring<PendingRequest> queue_;  // bounded by queue_cap
 };
 
 class MemcachedServer::Sink final : public FlowSink {
@@ -86,7 +87,7 @@ class MemcachedServer::Sink final : public FlowSink {
   }
 
   void on_packet(Vcpu&, const PacketPtr& packet,
-                 std::function<void()> done) override {
+                 Continuation done) override {
     PendingRequest req;
     req.flow = packet->flow;
     req.probe_id = packet->probe_id;

@@ -12,7 +12,7 @@ PingResponder::PingResponder(GuestOs& os, VirtioNetFrontend& dev,
 }
 
 void PingResponder::on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                              std::function<void()> done) {
+                              Continuation done) {
   Packet reply;
   reply.proto = Proto::kIcmp;
   reply.flow = flow_;

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "guest/guest_os.h"
 #include "guest/virtio_net.h"
@@ -18,7 +17,7 @@ class PingResponder final : public FlowSink, public Snapshottable {
   PingResponder(GuestOs& os, VirtioNetFrontend& dev, std::uint64_t flow);
 
   void on_packet(Vcpu& vcpu, const PacketPtr& packet,
-                 std::function<void()> done) override;
+                 Continuation done) override;
 
   std::int64_t echoed() const { return echoed_; }
 

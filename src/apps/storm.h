@@ -14,8 +14,10 @@
 // square-wave burst gate only, so same-seed storm runs are bit-identical.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "net/peer.h"
 #include "stats/histogram.h"
@@ -73,6 +75,48 @@ class StormClient : public Snapshottable {
   void snapshot_state(SnapshotWriter& w) const override;
 
  private:
+  /// Connection id -> first-SYN time: a flat Robin Hood hash table
+  /// (linear probing, backward-shift deletion). Ids are sequential and
+  /// non-zero (0 marks a free slot) and hash to themselves, so the live
+  /// window of ids sits at home slots like a ring — each operation touches
+  /// one or two cache lines and nothing allocates. The table starts small
+  /// (calm arrivals and set-up need little) and is reserved once, at full
+  /// size for `max_pending` entries at load <= 1/2, when the first storm
+  /// pushes it past that.
+  class PendingTable {
+   public:
+    explicit PendingTable(int max_entries);
+    std::size_t size() const { return size_; }
+    /// Inserts unless `key` is present (emplace semantics).
+    void emplace(std::uint64_t key, SimTime value);
+    /// Null when absent.
+    const SimTime* find(std::uint64_t key) const;
+    void erase(std::uint64_t key);
+    /// Live keys in ascending order (snapshot encoding).
+    std::vector<std::uint64_t> sorted_keys() const;
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      SimTime value = 0;
+    };
+    /// Probe distance of the occupant of slot `i` from its home slot.
+    std::size_t dist(std::size_t i) const {
+      return (i - slots_[i].key) & mask_;
+    }
+    /// Slot holding `key`, or npos.
+    std::size_t locate(std::uint64_t key) const;
+    void place(Slot slot);
+    void reserve_full();
+
+    static constexpr std::size_t kInitialSlots = 1024;
+    static constexpr std::size_t npos = ~std::size_t{0};
+    std::unique_ptr<Slot[]> slots_;
+    std::size_t mask_ = 0;
+    std::size_t full_slots_ = 0;  // the one-time reservation
+    std::size_t size_ = 0;
+  };
+
   void open_connection();
   void send_syn(std::uint64_t conn_id, SimTime first_attempt, int tries);
   void on_packet(const PacketPtr& packet);
@@ -97,7 +141,7 @@ class StormClient : public Snapshottable {
   Bytes goodput_base_ = 0;
   SimTime window_start_ = 0;
   Histogram connect_time_;
-  std::unordered_map<std::uint64_t, SimTime> pending_;  // conn -> first SYN
+  PendingTable pending_;  // conn -> first SYN
 };
 
 }  // namespace es2

@@ -147,14 +147,22 @@ void CfsScheduler::enqueue(Core& core, SimThread& thread, bool wakeup) {
     const double bonus = params_.gentle_sleepers ? latency / 2.0 : latency;
     thread.vruntime_ = std::max(thread.vruntime_, core.min_vruntime_ - bonus);
   }
-  core.rq_.insert(&thread);
+  if (spare_nodes_.empty()) {
+    core.rq_.insert(&thread);
+  } else {
+    Core::RunQueue::node_type node = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    node.value() = &thread;
+    core.rq_.insert(std::move(node));
+  }
   thread.rq_core_ = core.id_;
   update_min_vruntime(core);
 }
 
 void CfsScheduler::dequeue(Core& core, SimThread& thread) {
-  const auto erased = core.rq_.erase(&thread);
-  ES2_CHECK_MSG(erased == 1, "thread not on expected runqueue");
+  Core::RunQueue::node_type node = core.rq_.extract(&thread);
+  ES2_CHECK_MSG(!node.empty(), "thread not on expected runqueue");
+  spare_nodes_.push_back(std::move(node));
   thread.rq_core_ = -1;
   update_min_vruntime(core);
 }

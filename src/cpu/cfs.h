@@ -83,11 +83,12 @@ class Core {
       return a->id() < b->id();
     }
   };
+  using RunQueue = std::set<SimThread*, ByVruntime>;
 
   CfsScheduler& sched_;
   int id_;
   SimThread* current_ = nullptr;
-  std::set<SimThread*, ByVruntime> rq_;
+  RunQueue rq_;
   double min_vruntime_ = 0.0;
   bool resched_pending_ = false;
   EventHandle slice_timer_;
@@ -151,6 +152,10 @@ class CfsScheduler : public Snapshottable {
   CfsParams params_;
   Rng rng_;
   std::vector<std::unique_ptr<Core>> cores_;
+  // Runqueue nodes extracted by dequeue(), re-used by enqueue() so that
+  // switching allocates nothing. All cores' runqueues share one type, so
+  // any spare node fits any core; at most one node per registered thread.
+  std::vector<Core::RunQueue::node_type> spare_nodes_;
 };
 
 }  // namespace es2

@@ -43,27 +43,36 @@ SimDuration SimThread::cpu_time() const {
   return t;
 }
 
-void SimThread::exec(SimDuration duration, std::function<void()> done) {
-  ES2_CHECK_MSG(state_ != State::kFinished, "exec on finished thread");
-  ES2_CHECK_MSG(state_ != State::kBlocked, "exec on blocked thread");
-  ES2_CHECK_MSG(!active_, "thread already has an active segment");
-  ES2_CHECK_MSG(duration >= 0, "negative segment duration");
-  active_.emplace();
-  active_->remaining = duration;
-  active_->done = std::move(done);
-  if (state_ == State::kRunning) arm_segment();
+void SimThread::exec(SimDuration duration, Continuation done, int span_tag) {
+  start_segment(PausedSegment{duration, std::move(done), duration, span_tag});
 }
 
 std::optional<PausedSegment> SimThread::suspend_active() {
   if (!active_) return std::nullopt;
   freeze_segment();
-  PausedSegment paused{active_->remaining, std::move(active_->done)};
+  PausedSegment paused{active_->remaining, std::move(active_->done),
+                       active_->span, active_->span_tag};
   active_.reset();
   return paused;
 }
 
 void SimThread::resume_segment(PausedSegment segment) {
-  exec(segment.remaining, std::move(segment.done));
+  start_segment(std::move(segment));
+}
+
+void SimThread::start_segment(PausedSegment segment) {
+  ES2_CHECK_MSG(state_ != State::kFinished, "exec on finished thread");
+  ES2_CHECK_MSG(state_ != State::kBlocked, "exec on blocked thread");
+  ES2_CHECK_MSG(!active_, "thread already has an active segment");
+  ES2_CHECK_MSG(segment.remaining >= 0, "negative segment duration");
+  ES2_CHECK_MSG(segment.span_tag == kNoSpan || span_sink_ != nullptr,
+                "tagged segment on a thread without a span sink");
+  active_.emplace();
+  active_->remaining = segment.remaining;
+  active_->done = std::move(segment.done);
+  active_->span = segment.span;
+  active_->span_tag = segment.span_tag;
+  if (state_ == State::kRunning) arm_segment();
 }
 
 void SimThread::block() {
@@ -110,8 +119,11 @@ void SimThread::freeze_segment() {
 
 void SimThread::on_segment_complete() {
   ES2_CHECK(active_ && state_ == State::kRunning);
-  auto done = std::move(active_->done);
+  Continuation done = std::move(active_->done);
+  const int span_tag = active_->span_tag;
+  const SimDuration span = active_->span;
   active_.reset();
+  if (span_tag != kNoSpan) span_sink_(span_tag, span);
   if (done) done();
   // The callback must have left the thread either blocked, finished, or
   // with follow-up work (a new segment or a main body to fall back to).

@@ -7,6 +7,13 @@
 // frozen/thawed across CFS preemptions, so component code never sees a
 // preemption — exactly like a real thread does not.
 //
+// A segment owns its `done` continuation (sim/callback.h) until it runs;
+// suspend_active() hands both to the caller as a PausedSegment and
+// resume_segment() gives them back. Owners that need per-segment
+// accounting (the vCPU's guest/host time split) tag the segment instead of
+// wrapping `done`: the thread reports the tag and the segment's submitted
+// duration to its span sink right before `done` runs.
+//
 // Threads with no active segment fall back to their `main` body when
 // scheduled; `main` must leave the thread either with a pending segment or
 // blocked (enforced by ES2_CHECK), which rules out silent busy states.
@@ -19,6 +26,7 @@
 #include <vector>
 
 #include "base/units.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 
 namespace es2 {
@@ -26,11 +34,16 @@ namespace es2 {
 class CfsScheduler;
 class Core;
 
+/// Span tag of a work segment that reports nothing on completion.
+inline constexpr int kNoSpan = -1;
+
 /// A paused work segment (used by the vCPU layer to nest interrupt handler
 /// work inside an interrupted guest segment).
 struct PausedSegment {
   SimDuration remaining = 0;
-  std::function<void()> done;
+  Continuation done;
+  SimDuration span = 0;    // submitted duration, reported with span_tag
+  int span_tag = kNoSpan;
 };
 
 /// CFS load weights (subset of the kernel's prio_to_weight table).
@@ -47,6 +60,10 @@ class SimThread {
   /// core, and sched_in=false right after it is descheduled.
   using Notifier = std::function<void(SimThread&, bool sched_in)>;
 
+  /// Segment accounting hook: receives (span_tag, submitted duration) of
+  /// every tagged segment when it completes, just before its continuation.
+  using SpanSink = std::function<void(int span_tag, SimDuration span)>;
+
   SimThread(Simulator& sim, std::string name, int weight = kWeightNice0);
   ~SimThread();
   SimThread(const SimThread&) = delete;
@@ -58,8 +75,12 @@ class SimThread {
   void set_main(std::function<void()> main) { main_ = std::move(main); }
 
   /// Submits a work segment. Legal in any non-finished, non-blocked state;
-  /// at most one active segment at a time.
-  void exec(SimDuration duration, std::function<void()> done);
+  /// at most one active segment at a time. A `span_tag` other than
+  /// kNoSpan reports the segment to the span sink on completion.
+  void exec(SimDuration duration, Continuation done, int span_tag = kNoSpan);
+
+  /// Installs the span sink (set once by the thread's owner).
+  void set_span_sink(SpanSink sink) { span_sink_ = std::move(sink); }
 
   /// Removes and returns the active segment with its remaining time
   /// (nested-interrupt support). Returns nullopt if no segment is active.
@@ -110,11 +131,16 @@ class SimThread {
 
   struct ActiveSegment {
     SimDuration remaining = 0;
-    std::function<void()> done;
+    Continuation done;
+    SimDuration span = 0;
+    int span_tag = kNoSpan;
     EventHandle completion;   // armed only while running
     SimTime armed_at = 0;
     bool armed = false;
   };
+
+  /// Installs `segment` as the active one (exec and resume_segment).
+  void start_segment(PausedSegment segment);
 
   // Scheduler-side hooks.
   void sched_in(Core& core);
@@ -132,6 +158,7 @@ class SimThread {
   std::optional<ActiveSegment> active_;
   std::function<void()> main_;
   std::vector<Notifier> notifiers_;
+  SpanSink span_sink_;
 
   // Managed by CfsScheduler.
   CfsScheduler* sched_ = nullptr;

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "net/link.h"
 #include "net/packet.h"
+#include "sim/callback.h"
 #include "vm/vm.h"
 
 namespace es2 {
@@ -43,7 +43,7 @@ class DirectNic {
   Vm& vm() { return vm_; }
 
   /// Guest transmit from `vcpu` context: doorbell write + DMA, no VM exit.
-  void transmit(Vcpu& vcpu, PacketPtr packet, std::function<void()> done);
+  void transmit(Vcpu& vcpu, PacketPtr packet, Continuation done);
 
   /// Wire ingress: DMA into the guest buffer, then the VF's MSI-X
   /// interrupt via VT-d PI (through the router, so redirection applies).

@@ -6,9 +6,12 @@
 // clocking, request/response exchanges, and connection handshakes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
+#include <utility>
 
+#include "base/pool.h"
 #include "base/units.h"
 #include "snapshot/snapshot.h"
 
@@ -38,10 +41,75 @@ struct Packet {
   std::uint64_t probe_id = 0;   // echo/request correlation (ICMP, RPC)
 };
 
-using PacketPtr = std::shared_ptr<const Packet>;
+/// Shared, immutable handle to a packet.
+///
+/// Packets are created once by make_packet() and then only read, by every
+/// layer they pass through. The handle is an intrusive, non-atomic
+/// reference count on a node drawn from the size-classed block pool
+/// (base/pool.h): copying bumps the count, the last handle to go returns
+/// the node to the pool. Copies are cheap and mean "shared reference" —
+/// fault-injected duplication delivers the same node twice.
+///
+/// Thread confinement: a world runs on one thread, and packets never
+/// leave their world, so the count is a plain integer.
+class PacketPtr {
+ public:
+  PacketPtr() noexcept = default;
+  PacketPtr(std::nullptr_t) noexcept {}
+  PacketPtr(const PacketPtr& other) noexcept : node_(other.node_) {
+    if (node_ != nullptr) ++node_->refs;
+  }
+  PacketPtr(PacketPtr&& other) noexcept
+      : node_(std::exchange(other.node_, nullptr)) {}
+  PacketPtr& operator=(const PacketPtr& other) noexcept {
+    PacketPtr(other).swap(*this);
+    return *this;
+  }
+  PacketPtr& operator=(PacketPtr&& other) noexcept {
+    PacketPtr(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~PacketPtr() { release(); }
+
+  const Packet& operator*() const { return node_->packet; }
+  const Packet* operator->() const { return &node_->packet; }
+  const Packet* get() const {
+    return node_ != nullptr ? &node_->packet : nullptr;
+  }
+  explicit operator bool() const { return node_ != nullptr; }
+  friend bool operator==(const PacketPtr& p, std::nullptr_t) {
+    return p.node_ == nullptr;
+  }
+
+  /// Handles sharing this packet (0 for a null handle).
+  long use_count() const { return node_ != nullptr ? node_->refs : 0; }
+
+  void reset() { PacketPtr().swap(*this); }
+  void swap(PacketPtr& other) noexcept { std::swap(node_, other.node_); }
+
+ private:
+  struct Node {
+    Packet packet;
+    std::uint32_t refs;
+  };
+  friend PacketPtr make_packet(Packet p);
+
+  void release() {
+    if (node_ != nullptr && --node_->refs == 0) {
+      node_->~Node();
+      pool::deallocate(node_, sizeof(Node));
+    }
+    node_ = nullptr;
+  }
+
+  Node* node_ = nullptr;
+};
 
 inline PacketPtr make_packet(Packet p) {
-  return std::make_shared<const Packet>(std::move(p));
+  PacketPtr ptr;
+  ptr.node_ = ::new (pool::allocate(sizeof(PacketPtr::Node)))
+      PacketPtr::Node{std::move(p), 1};
+  return ptr;
 }
 
 /// Serializes one packet's metadata (or a null marker) into a snapshot.

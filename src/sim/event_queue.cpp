@@ -14,10 +14,7 @@ void EventCore::close() {
   for (auto& slab : slabs_) {
     for (EventRecord& r : slab->records) {
       if (r.loc != EventLocation::kFree) {
-        if (r.ops != nullptr) {
-          r.ops->destroy(r.buf);
-          r.ops = nullptr;
-        }
+        r.fn.reset();
         r.gen++;
         r.loc = EventLocation::kFree;
       }
@@ -68,10 +65,7 @@ std::uint32_t EventCore::acquire_slot() {
 
 void EventCore::free_slot(std::uint32_t slot) {
   EventRecord& r = record(slot);
-  if (r.ops != nullptr) {
-    r.ops->destroy(r.buf);
-    r.ops = nullptr;
-  }
+  r.fn.reset();
   r.gen++;  // invalidate outstanding handles / stale heap keys
   r.loc = EventLocation::kFree;
   r.prev = kInvalidSlot;
@@ -295,7 +289,7 @@ SimTime EventCore::pop_and_run() {
     std::uint32_t slot;
     ~SlotReclaimer() { core->free_slot(slot); }
   } reclaim{this, k.slot};
-  r.ops->invoke(r.buf);
+  r.fn();
   return k.when;
 }
 

@@ -5,12 +5,12 @@
 //
 //  * A slab-pooled event store: fixed-size `EventRecord`s in 256-record
 //    slabs with a free list. Records never move, so callbacks are
-//    constructed once, in place, in a `kInlineCallbackCapacity`-byte
-//    inline buffer (type-erased through a static ops vtable). Callables
-//    larger than the buffer fall back to one boxed heap allocation; the
-//    `boxed_callbacks` counter proves the steady state never takes that
-//    path. After warm-up, schedule/cancel/fire perform zero heap
-//    allocations.
+//    constructed once, in place, in the record's embedded
+//    `InlineCallback` (sim/callback.h) with a `kInlineCallbackCapacity`-
+//    byte buffer. Callables larger than the buffer are boxed in a block
+//    from the size-classed pool (base/pool.h); the `boxed_callbacks`
+//    counter proves the model's steady state never takes that path.
+//    After warm-up, schedule/cancel/fire perform zero heap allocations.
 //
 //  * Generation-counted handles: `{slot, generation}` plus a shared
 //    reference to the pool core. `cancel()` and `pending()` are O(1);
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "base/units.h"
+#include "sim/callback.h"
 #include "stats/event_stats.h"
 
 namespace es2 {
@@ -51,34 +52,17 @@ class EventQueue;
 
 namespace detail {
 
-/// Inline storage for a scheduled callback. All model lambdas in this
-/// codebase capture at most a `this` pointer, a couple of scalars, or a
-/// `std::function` copy (32 bytes on libstdc++); 48 bytes holds them all
-/// and keeps the whole record at 96 bytes (1.5 cache lines).
-inline constexpr std::size_t kInlineCallbackCapacity = 48;
+/// Inline storage for a scheduled callback. Model lambdas capture at
+/// most a `this` pointer, a few scalars or a packet handle, and at most
+/// one `Continuation` (56 bytes): `[this, done]` is 64 bytes, which this
+/// budget holds, keeping the whole record at 112 bytes.
+inline constexpr std::size_t kInlineCallbackCapacity =
+    sizeof(void*) + sizeof(Continuation);
+
+/// The callable an event record embeds.
+using EventCallback = InlineCallback<void(), kInlineCallbackCapacity>;
 
 inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
-
-/// Type-erased operations on a callback stored in an EventRecord buffer.
-struct CallbackOps {
-  void (*invoke)(void* buf);
-  void (*destroy)(void* buf);
-};
-
-template <typename Fn>
-struct InlineOps {
-  static void invoke(void* buf) { (*static_cast<Fn*>(buf))(); }
-  static void destroy(void* buf) { static_cast<Fn*>(buf)->~Fn(); }
-  static constexpr CallbackOps ops{&invoke, &destroy};
-};
-
-template <typename Fn>
-struct BoxedOps {
-  static Fn*& box(void* buf) { return *static_cast<Fn**>(buf); }
-  static void invoke(void* buf) { (*box(buf))(); }
-  static void destroy(void* buf) { delete box(buf); }
-  static constexpr CallbackOps ops{&invoke, &destroy};
-};
 
 /// Where a live event currently lives (drives O(1) cancellation).
 enum class EventLocation : std::uint8_t {
@@ -98,8 +82,7 @@ struct EventRecord {
   std::uint32_t prev = kInvalidSlot;  // wheel-bucket list / unused
   std::uint32_t next = kInvalidSlot;  // wheel-bucket list / free list
   std::uint32_t bucket = 0;           // wheel index while loc == kWheel
-  const CallbackOps* ops = nullptr;
-  alignas(std::max_align_t) unsigned char buf[kInlineCallbackCapacity];
+  EventCallback fn;                   // empty while the record is free
 };
 
 /// Key stored in the near/far heaps. Stale keys (generation mismatch)
@@ -138,14 +121,13 @@ class EventCore {
   void close();
 
   /// Pops a record off the free list (growing by one slab if empty) —
-  /// the caller constructs the callback into `record(slot).buf` and
+  /// the caller constructs the callback into `record(slot).fn` and
   /// then calls enqueue().
   std::uint32_t acquire_slot();
 
   /// Returns a slot obtained from acquire_slot() that was never
   /// enqueue()d (callback construction threw). No generation bump is
-  /// needed: no handle was ever issued for it and no callback lives in
-  /// its buffer.
+  /// needed: no handle was ever issued for it and its callback is empty.
   void release_unqueued_slot(std::uint32_t slot) {
     EventRecord& r = record(slot);
     r.next = free_head_;
@@ -264,11 +246,10 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `fn` to run at absolute time `when`. Events at the same
-  /// instant fire in scheduling order. Callables up to
-  /// `detail::kInlineCallbackCapacity` bytes (and at most
-  /// `max_align_t`-aligned — the record buffer guarantees no more) are
-  /// stored inline in the pooled record (no allocation); larger or
-  /// over-aligned ones are boxed.
+  /// instant fire in scheduling order. Callables that fit
+  /// `detail::kInlineCallbackCapacity` bytes (pointer-aligned, noexcept
+  /// move) are stored inline in the pooled record (no allocation);
+  /// larger ones are boxed in a pool block and counted.
   template <typename F>
   EventHandle schedule(SimTime when, F&& fn) {
     using Fn = std::decay_t<F>;
@@ -276,23 +257,17 @@ class EventQueue {
     detail::EventCore& core = *core_;
     const std::uint32_t slot = core.acquire_slot();
     detail::EventRecord& r = core.record(slot);
-    // Copy-construction from an lvalue F (or the boxed `new`) may throw
-    // even when the move is noexcept; give the slot back on unwind so it
-    // is not stranded off both the free list and the calendar.
+    // Copy-construction from an lvalue F (or the box allocation) may
+    // throw even when the move is noexcept; give the slot back on unwind
+    // so it is not stranded off both the free list and the calendar.
     try {
-      if constexpr (sizeof(Fn) <= detail::kInlineCallbackCapacity &&
-                    alignof(Fn) <= alignof(std::max_align_t) &&
-                    std::is_nothrow_move_constructible_v<Fn>) {
-        ::new (static_cast<void*>(r.buf)) Fn(std::forward<F>(fn));
-        r.ops = &detail::InlineOps<Fn>::ops;
-      } else {
-        ::new (static_cast<void*>(r.buf)) Fn*(new Fn(std::forward<F>(fn)));
-        r.ops = &detail::BoxedOps<Fn>::ops;
-        core.stats().boxed_callbacks++;
-      }
+      r.fn.emplace(std::forward<F>(fn));
     } catch (...) {
       core.release_unqueued_slot(slot);
       throw;
+    }
+    if constexpr (!detail::EventCallback::fits_inline<Fn>) {
+      core.stats().boxed_callbacks++;
     }
     core.enqueue(slot, when);
     return EventHandle(core_, slot, r.gen);

@@ -38,15 +38,15 @@ class Simulator : public Snapshottable {
   /// Schedules `fn` at absolute time `when` (must be >= now()).
   ///
   /// `fn` is stored inline in the pooled event record — no allocation.
-  /// The static_assert enforces the inline-size budget for every model
-  /// call site; a callable that genuinely needs more capture space can
-  /// go through queue().schedule(), which boxes it on the heap.
+  /// The static_assert enforces the inline budget for every model call
+  /// site; a callable that genuinely needs more capture space can go
+  /// through queue().schedule(), which boxes it in a pool block.
   template <typename F>
   EventHandle at(SimTime when, F&& fn) {
-    static_assert(sizeof(std::decay_t<F>) <= detail::kInlineCallbackCapacity,
+    static_assert(detail::EventCallback::fits_inline<std::decay_t<F>>,
                   "callback captures exceed the inline event buffer "
                   "(detail::kInlineCallbackCapacity); shrink the capture or "
-                  "use queue().schedule() to accept a boxed allocation");
+                  "use queue().schedule() to accept a boxed callback");
     ES2_CHECK_MSG(when >= now_, "cannot schedule into the past");
     return queue_.schedule(when, std::forward<F>(fn));
   }

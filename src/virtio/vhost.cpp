@@ -69,7 +69,7 @@ void VhostWorker::activate(VqHandler& handler) {
   thread_.wake();
 }
 
-void VhostWorker::exec(Cycles cycles, std::function<void()> done) {
+void VhostWorker::exec(Cycles cycles, Continuation done) {
   thread_.exec(host_.costs().ns(cycles), std::move(done));
 }
 
@@ -197,7 +197,7 @@ void VhostWorker::main_loop() {
     }
   }
   VqHandler* handler = active_[pick];
-  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(pick));
+  active_.erase_at(pick);
   handler->queued_ = false;
   ++turns_;
   last_work_ = now;  // adaptive poll budget restarts at every dispatch
@@ -265,8 +265,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
     profile_queue_ = q_;
   }
 
-  void service(VhostWorker& worker,
-               std::function<void(bool)> done) override {
+  void service(VhostWorker& worker, TurnDone done) override {
 #if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(worker.host().sim())) {
       tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
@@ -274,10 +273,11 @@ class VhostNetBackend::TxHandler final : public VqHandler {
                backend_.tx_kick_corr_);
     }
 #endif
+    begin_turn(std::move(done));
     // Lifecycle gate: a wedged/quarantined/disabled queue parks the turn
     // (and runs the ring-integrity check on the way in).
     if (!backend_.pre_service(q_)) {
-      done(false);
+      end_turn(false);
       return;
     }
     // Algorithm 1 line 8-10: entering a turn disables guest notifications.
@@ -292,17 +292,17 @@ class VhostNetBackend::TxHandler final : public VqHandler {
 #endif
     }
     workload_ = 0;
-    poll(worker, std::move(done));
+    poll(worker);
   }
 
  private:
-  void poll(VhostWorker& worker, std::function<void(bool)> done) {
+  void poll(VhostWorker& worker) {
     Virtqueue& vq = backend_.tx_vq(pair_);
     if (workload_ >= backend_.effective_quota()) {
       // High load: stay in polling mode, wait for the next turn
       // (Algorithm 1 line 15-17).
       ++backend_.tx_quota_hits_;
-      done(true);
+      end_turn(true);
       return;
     }
     auto entry = vq.pop_avail();
@@ -310,7 +310,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
       if (backend_.poll_mode() != PollMode::kNotify) {
         // Busy-poll backend: notifications never come back on; the
         // worker's poll scan re-activates this handler when work appears.
-        done(false);
+        end_turn(false);
         return;
       }
       // Queue empty before the quota filled: the I/O load is low. Return
@@ -318,7 +318,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
       // standard re-enable race.
       if (vq.enable_notifications()) {
         vq.disable_notifications();
-        poll(worker, std::move(done));
+        poll(worker);
         return;
       }
       ++backend_.tx_reverts_;
@@ -329,19 +329,19 @@ class VhostNetBackend::TxHandler final : public VqHandler {
                  backend_.tx_kick_corr_);
       }
 #endif
-      done(false);
+      end_turn(false);
       return;
     }
     const Cycles cost = backend_.tx_cost(*entry);
     const std::int64_t epoch = vq.reset_epoch();
-    worker.exec(cost, [this, &worker, epoch, entry = std::move(*entry),
-                       done = std::move(done)]() mutable {
+    worker.exec(cost, [this, &worker, epoch,
+                       entry = std::move(*entry)]() mutable {
       Virtqueue& vq = backend_.tx_vq(pair_);
       if (vq.reset_epoch() != epoch) {
         // The queue was reset mid-flight: this turn's view of the ring is
         // stale and the descriptor is gone. The packet is dropped (the
         // peer's TCP retransmit recovers it).
-        done(false);
+        end_turn(false);
         return;
       }
       backend_.tx_link_.transmit(entry.packet);
@@ -362,7 +362,7 @@ class VhostNetBackend::TxHandler final : public VqHandler {
 #endif
       }
       ++workload_;
-      poll(worker, std::move(done));
+      poll(worker);
     });
   }
 
@@ -388,8 +388,7 @@ class VhostNetBackend::RxHandler final : public VqHandler {
     profile_queue_ = q_;
   }
 
-  void service(VhostWorker& worker,
-               std::function<void(bool)> done) override {
+  void service(VhostWorker& worker, TurnDone done) override {
 #if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(worker.host().sim())) {
       tr->emit(worker.host().sim().now(), TraceKind::kWorkerTurn, -1, -1,
@@ -397,8 +396,9 @@ class VhostNetBackend::RxHandler final : public VqHandler {
                backend_.rx_kick_corr_);
     }
 #endif
+    begin_turn(std::move(done));
     if (!backend_.pre_service(q_)) {
-      done(false);
+      end_turn(false);
       return;
     }
     if (backend_.rx_vq(pair_).notifications_enabled()) {
@@ -412,38 +412,38 @@ class VhostNetBackend::RxHandler final : public VqHandler {
 #endif
     }
     workload_ = 0;
-    poll(worker, std::move(done));
+    poll(worker);
   }
 
  private:
-  void poll(VhostWorker& worker, std::function<void(bool)> done) {
+  void poll(VhostWorker& worker) {
     Virtqueue& vq = backend_.rx_vq(pair_);
     // Ingress draining is bounded by the vhost weight, NOT the ES2 quota:
     // Algorithm 1 throttles guest *notifications*; wire traffic is not a
     // guest I/O request.
     if (workload_ >= backend_.params().weight) {
-      done(true);
+      end_turn(true);
       return;
     }
-    std::deque<PacketPtr>& sock_buf = backend_.sock_buf(pair_);
+    Ring<PacketPtr>& sock_buf = backend_.sock_buf(pair_);
     if (sock_buf.empty()) {
       // No more ingress traffic. Refill notifications stay disabled — the
       // handler reactivates on wire arrivals, not guest kicks.
-      done(false);
+      end_turn(false);
       return;
     }
     if (!vq.has_avail()) {
       if (backend_.poll_mode() != PollMode::kNotify) {
         // Busy-poll backend: the poll scan notices when the guest posts
         // fresh receive buffers; no refill notification needed.
-        done(false);
+        end_turn(false);
         return;
       }
       // Out of guest receive buffers: arm the refill notification so the
       // guest's next buffer post kicks us awake (with the re-check race).
       if (vq.enable_notifications()) {
         vq.disable_notifications();
-        poll(worker, std::move(done));
+        poll(worker);
         return;
       }
 #if ES2_TRACE_ENABLED
@@ -456,20 +456,19 @@ class VhostNetBackend::RxHandler final : public VqHandler {
       // Under fault injection the refill kick itself may be swallowed:
       // schedule a re-poll so a lost kick degrades to latency, not a wedge.
       backend_.arm_rx_repoll();
-      done(false);
+      end_turn(false);
       return;
     }
-    PacketPtr packet = sock_buf.front();
-    sock_buf.pop_front();
+    PacketPtr packet = sock_buf.take_front();
     const Cycles cost = backend_.rx_cost(packet);
     const std::int64_t epoch = vq.reset_epoch();
-    worker.exec(cost, [this, &worker, epoch, packet = std::move(packet),
-                       done = std::move(done)]() mutable {
+    worker.exec(cost, [this, &worker, epoch,
+                       packet = std::move(packet)]() mutable {
       Virtqueue& vq = backend_.rx_vq(pair_);
       if (vq.reset_epoch() != epoch) {
         // Reset raced the copy: the buffer this packet was headed for no
         // longer exists. Drop it; the sender retransmits.
-        done(false);
+        end_turn(false);
         return;
       }
       auto buffer = vq.pop_avail();
@@ -491,7 +490,7 @@ class VhostNetBackend::RxHandler final : public VqHandler {
 #endif
       }
       ++workload_;
-      poll(worker, std::move(done));
+      poll(worker);
     });
   }
 
@@ -510,7 +509,7 @@ struct VhostNetBackend::ExtraPair {
   Virtqueue rx;
   std::unique_ptr<TxHandler> tx_handler;
   std::unique_ptr<RxHandler> rx_handler;
-  std::deque<PacketPtr> sock_buf;
+  Ring<PacketPtr> sock_buf;
   MsiMessage tx_msi;
   MsiMessage rx_msi;
 
@@ -521,6 +520,7 @@ struct VhostNetBackend::ExtraPair {
            backend.params().vq_capacity, backend.params().ring_layout),
         tx_handler(std::make_unique<TxHandler>(backend, pair)),
         rx_handler(std::make_unique<RxHandler>(backend, pair)) {
+    sock_buf.reserve(static_cast<std::size_t>(backend.params().sock_buffer));
     // Each pair gets its own MSI vectors (continuing pair 0's layout of
     // kFirstDeviceVector+1/+2) with guest affinity spread across vCPUs —
     // the standard irqbalance-style queue->vCPU mapping.
@@ -549,6 +549,7 @@ VhostNetBackend::VhostNetBackend(Vm& vm, VhostWorker& worker, Link& tx_link,
                 "vhost-net needs at least one queue pair");
   tx_handler_ = std::make_unique<TxHandler>(*this, 0);
   rx_handler_ = std::make_unique<RxHandler>(*this, 0);
+  sock_buf_.reserve(static_cast<std::size_t>(params_.sock_buffer));
   // Default MSI identities: virtio-net queue vectors, guest affinity on
   // vCPU 0, lowest-priority delivery (Linux apic_flat default).
   tx_msi_ = MsiMessage{static_cast<Vector>(kFirstDeviceVector + 1), 0,
@@ -584,7 +585,7 @@ Virtqueue& VhostNetBackend::rx_vq(int pair) {
                    : extra_pairs_[static_cast<std::size_t>(pair - 1)]->rx;
 }
 
-std::deque<PacketPtr>& VhostNetBackend::sock_buf(int pair) {
+Ring<PacketPtr>& VhostNetBackend::sock_buf(int pair) {
   return pair == 0 ? sock_buf_
                    : extra_pairs_[static_cast<std::size_t>(pair - 1)]->sock_buf;
 }
@@ -1163,7 +1164,7 @@ void VhostNetBackend::receive_from_wire(PacketPtr packet) {
                              ProfComp::kVhostWireRx);
 #endif
   const int pair = steer_pair(packet->proto, packet->flow);
-  std::deque<PacketPtr>& buf = sock_buf(pair);
+  Ring<PacketPtr>& buf = sock_buf(pair);
   if (static_cast<int>(buf.size()) >= params_.sock_buffer) {
     ++rx_dropped_;
     return;

@@ -21,15 +21,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/ring.h"
 #include "base/rng.h"
 #include "net/link.h"
 #include "net/packet.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 #include "virtio/virtqueue.h"
 #include "vm/cost_model.h"
@@ -45,13 +46,15 @@ class VhostWorker;
 /// One schedulable unit of back-end work (a virtqueue handler).
 class VqHandler {
  public:
+  /// End-of-turn continuation: `requeue` asks for another turn.
+  using TurnDone = InlineCallback<void(bool requeue)>;
+
   explicit VqHandler(std::string name) : name_(std::move(name)) {}
   virtual ~VqHandler() = default;
 
   /// Runs one turn on the worker thread; must invoke `done(requeue)`
   /// exactly once (possibly after several exec segments).
-  virtual void service(VhostWorker& worker,
-                       std::function<void(bool requeue)> done) = 0;
+  virtual void service(VhostWorker& worker, TurnDone done) = 0;
 
   const std::string& name() const { return name_; }
   /// True while queued (or running) on the worker; the backend lifecycle
@@ -62,10 +65,20 @@ class VqHandler {
   int profile_queue() const { return profile_queue_; }
 
  protected:
+  /// Holds the turn's completion while the turn's exec segments run (a
+  /// handler has at most one turn in flight)...
+  void begin_turn(TurnDone done) { turn_done_ = std::move(done); }
+  /// ...and hands `requeue` to it, releasing it first.
+  void end_turn(bool requeue) {
+    TurnDone done = std::move(turn_done_);
+    done(requeue);
+  }
+
   int profile_queue_ = -1;
 
  private:
   friend class VhostWorker;
+  TurnDone turn_done_;
   std::string name_;
   bool queued_ = false;
   SimTime ready_at_ = 0;  // earliest re-service time after a quota yield
@@ -142,7 +155,7 @@ class VhostWorker : public Snapshottable {
 
   /// Runs `cycles` of host work on the worker thread, then `done`
   /// (handler helper).
-  void exec(Cycles cycles, std::function<void()> done);
+  void exec(Cycles cycles, Continuation done);
 
   KvmHost& host() { return host_; }
   SimThread& thread() { return thread_; }
@@ -203,7 +216,7 @@ class VhostWorker : public Snapshottable {
   double slow_wakeup_prob_;
   Rng rng_;
   bool was_sleeping_ = true;
-  std::deque<VqHandler*> active_;
+  Ring<VqHandler*> active_;
   std::size_t active_high_water_ = 0;
   std::uint64_t turns_ = 0;
   std::uint64_t wakeups_ = 0;
@@ -474,7 +487,7 @@ class VhostNetBackend : public Snapshottable {
   int effective_quota() const {
     return poll_quota_ > 0 ? poll_quota_ : params_.weight;
   }
-  std::deque<PacketPtr>& sock_buf(int pair);
+  Ring<PacketPtr>& sock_buf(int pair);
   TxHandler& tx_handler(int pair);
   RxHandler& rx_handler(int pair);
   /// Handler turn gate: false parks the turn (wedged / disabled /
@@ -520,7 +533,7 @@ class VhostNetBackend : public Snapshottable {
   std::unique_ptr<TxHandler> tx_handler_;
   std::unique_ptr<RxHandler> rx_handler_;
   std::vector<std::unique_ptr<ExtraPair>> extra_pairs_;
-  std::deque<PacketPtr> sock_buf_;
+  Ring<PacketPtr> sock_buf_;  // reserved to params_.sock_buffer
   MsiMessage tx_msi_;
   MsiMessage rx_msi_;
   MsiFilter msi_filter_;

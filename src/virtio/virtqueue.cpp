@@ -16,6 +16,8 @@ bool need_event(std::int64_t event, std::int64_t new_idx, std::int64_t old_idx) 
 Virtqueue::Virtqueue(std::string name, int capacity, RingLayout layout)
     : name_(std::move(name)), capacity_(capacity), layout_(layout) {
   ES2_CHECK_MSG(capacity_ > 0, "virtqueue capacity must be positive");
+  avail_.reserve(static_cast<std::size_t>(capacity_));
+  used_.reserve(static_cast<std::size_t>(capacity_));
 }
 
 bool Virtqueue::add_avail(Entry entry) {
@@ -42,8 +44,7 @@ bool Virtqueue::kick_needed() const {
 
 std::optional<Virtqueue::Entry> Virtqueue::pop_avail() {
   if (avail_.empty()) return std::nullopt;
-  Entry entry = std::move(avail_.front());
-  avail_.pop_front();
+  Entry entry = avail_.take_front();
   ++in_flight_;
   return entry;
 }
@@ -68,9 +69,7 @@ bool Virtqueue::interrupt_needed() const {
 
 std::optional<Virtqueue::Entry> Virtqueue::pop_used() {
   if (used_.empty()) return std::nullopt;
-  Entry entry = std::move(used_.front());
-  used_.pop_front();
-  return entry;
+  return used_.take_front();
 }
 
 void Virtqueue::reset() {

@@ -1,10 +1,12 @@
 // Unit tests for src/base: RNG, strings, table, csv, units.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "base/csv.h"
+#include "base/ring.h"
 #include "base/rng.h"
 #include "base/strings.h"
 #include "base/table.h"
@@ -162,6 +164,58 @@ TEST(Csv, WritesFile) {
   w.add_row({"v"});
   const std::string path = ::testing::TempDir() + "/es2_csv_test/out.csv";
   EXPECT_TRUE(w.write_file(path));
+}
+
+TEST(Ring, FifoOrderSurvivesWrapAndGrowth) {
+  Ring<int> r;
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave pushes and pops so the head wraps before each doubling.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 7 * (round + 1); ++i) r.push_back(next_in++);
+    for (int i = 0; i < 3 * (round + 1); ++i) {
+      ASSERT_EQ(r.front(), next_out);
+      r.pop_front();
+      ++next_out;
+    }
+  }
+  std::vector<int> rest(r.begin(), r.end());
+  ASSERT_EQ(rest.size(), static_cast<std::size_t>(next_in - next_out));
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    EXPECT_EQ(rest[i], next_out + static_cast<int>(i));
+  }
+  EXPECT_GE(r.capacity(), r.size());
+  EXPECT_EQ(r.capacity() & (r.capacity() - 1), 0u) << "power of two";
+}
+
+TEST(Ring, ReserveAvoidsRegrowthAndEraseKeepsOrder) {
+  Ring<int> r;
+  r.reserve(100);
+  const std::size_t cap = r.capacity();
+  EXPECT_EQ(cap, 128u);
+  for (int i = 0; i < 100; ++i) r.push_back(i);
+  r.erase_at(0);
+  r.erase_at(50);  // removes value 51
+  r.erase_at(r.size() - 1);
+  EXPECT_EQ(r.capacity(), cap);
+  EXPECT_EQ(r.size(), 97u);
+  EXPECT_EQ(r.front(), 1);
+  EXPECT_EQ(r[49], 50);
+  EXPECT_EQ(r[50], 52);
+  EXPECT_EQ(r[r.size() - 1], 98);
+  EXPECT_EQ(r.take_front(), 1);
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), cap) << "clear keeps the storage";
+}
+
+TEST(Ring, PopReleasesTheSlotValue) {
+  auto payload = std::make_shared<int>(9);
+  Ring<std::shared_ptr<int>> r;
+  r.push_back(payload);
+  EXPECT_EQ(payload.use_count(), 2);
+  r.pop_front();
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 }  // namespace

@@ -1,19 +1,30 @@
 // Contract tests for the zero-allocation event core: ordering across the
 // calendar layers (near heap / wheel / overflow heap), generation-handle
 // cancellation semantics, handle-outlives-queue safety, determinism under
-// interleaved cancels, inline-callback storage, and the zero-steady-state-
-// allocation guarantee (this binary links es2_alloc_hook).
+// interleaved cancels, inline-callback storage, the continuation type and
+// pooled packet handles the packet path is built on, and the zero-steady-
+// state-allocation guarantee — for the event core alone and for whole
+// simulated cells after warmup (this binary links es2_alloc_hook).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
+#include "apps/httpd.h"
+#include "apps/netperf.h"
+#include "apps/storm.h"
 #include "base/alloc_hook.h"
+#include "base/pool.h"
 #include "base/rng.h"
+#include "harness/testbed.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
+#include "virtio/virtqueue.h"
 
 namespace es2 {
 namespace {
@@ -36,9 +47,13 @@ static_assert(sizeof(ModelStandIn) + sizeof(std::int64_t) <=
               "[this, ptr, scalar] capture must fit inline");
 static_assert(sizeof(std::function<void()>) <= kInlineCallbackCapacity,
               "a std::function copy must fit inline (vm timer ticks)");
-static_assert(sizeof(std::shared_ptr<int>) + sizeof(void*) <=
-                  kInlineCallbackCapacity,
+static_assert(sizeof(PacketPtr) + sizeof(void*) <= kInlineCallbackCapacity,
               "[this, PacketPtr] capture must fit inline (link delivery)");
+static_assert(sizeof(void*) + sizeof(Continuation) <= kInlineCallbackCapacity,
+              "[this, Continuation] capture must fit inline (segment "
+              "completions and deferred continuations)");
+static_assert(sizeof(PacketPtr) == sizeof(void*),
+              "a packet handle is one pointer");
 
 // ---------------------------------------------------------------------------
 // Ordering across calendar layers
@@ -401,6 +416,368 @@ TEST(EventCore, SteadyStateScheduleCancelFireAllocatesNothing) {
   EXPECT_EQ(sim.queue().stats().boxed_callbacks, 0u);
   EXPECT_GT(sim.queue().stats().fired, 0u);
 }
+
+
+// ---------------------------------------------------------------------------
+// Continuation: move-only inline callable with a pooled oversize path
+// ---------------------------------------------------------------------------
+
+namespace continuation {
+
+static_assert(!std::is_copy_constructible_v<Continuation>);
+static_assert(std::is_nothrow_move_constructible_v<Continuation>);
+
+TEST(Continuation, MoveOnlyCapturesAndMoveTransfersOwnership) {
+  auto owned = std::make_unique<int>(5);
+  int seen = 0;
+  Continuation a = [&seen, p = std::move(owned)] { seen = *p; };
+  ASSERT_TRUE(a);
+  Continuation b = std::move(a);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_TRUE(b);
+  b();
+  EXPECT_EQ(seen, 5);
+  b();  // invoking does not consume the callable
+  EXPECT_EQ(seen, 5);
+}
+
+TEST(Continuation, DestroysCaptureOnResetReassignAndDestruction) {
+  auto payload = std::make_shared<int>(1);
+  {
+    Continuation c = [keep = payload] { (void)*keep; };
+    EXPECT_EQ(payload.use_count(), 2);
+    c.reset();
+    EXPECT_EQ(payload.use_count(), 1);
+    c = [keep = payload] { (void)*keep; };
+    EXPECT_EQ(payload.use_count(), 2);
+    c = Continuation([] {});
+    EXPECT_EQ(payload.use_count(), 1);
+    c = [keep = payload] { (void)*keep; };
+  }
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(Continuation, ArgumentsReachTheCallable) {
+  InlineCallback<void(bool)> done = [](bool) {};
+  bool got = false;
+  done = [&got](bool requeue) { got = requeue; };
+  done(true);
+  EXPECT_TRUE(got);
+}
+
+TEST(Continuation, OversizeCapturesUseThePoolNotTheHeap) {
+  struct Big {
+    std::array<std::int64_t, 16> words{};  // 128 bytes
+  };
+  static_assert(!Continuation::fits_inline<Big>);
+  auto payload = std::make_shared<int>(3);
+  std::int64_t seen = 0;
+  auto make = [&] {
+    Big big;
+    big.words[9] = 41;
+    return Continuation([big, keep = payload, &seen] {
+      seen = big.words[9] + *keep - 2;
+    });
+  };
+  make()();  // warms this size class's free list
+  test::AllocationCounter counter;
+  for (int i = 0; i < 100; ++i) {
+    Continuation c = make();
+    Continuation moved = std::move(c);  // a box moves by pointer
+    moved();
+  }
+  EXPECT_EQ(counter.delta(), 0) << "boxed continuations come from the pool";
+  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(payload.use_count(), 1) << "every box was destroyed";
+}
+
+TEST(Continuation, NestedContinuationIsBoxedAndReleasedWithItsOwner) {
+  // The guest driver's done-chains: a continuation capturing another.
+  auto payload = std::make_shared<int>(0);
+  int calls = 0;
+  Continuation inner = [keep = payload, &calls] { ++calls; };
+  auto outer_fn = [inner = std::move(inner), &calls]() mutable {
+    ++calls;
+    inner();
+  };
+  static_assert(!Continuation::fits_inline<decltype(outer_fn)>);
+  {
+    Continuation outer = std::move(outer_fn);
+    EXPECT_EQ(payload.use_count(), 2);
+    outer();
+    EXPECT_EQ(calls, 2);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(Continuation, CancelledEventDestroysCapturedContinuation) {
+  Simulator sim;
+  auto payload = std::make_shared<int>(0);
+  Continuation c = [keep = payload] { (void)*keep; };
+  EventHandle h = sim.after(usec(5), [c = std::move(c)] { c(); });
+  EXPECT_EQ(payload.use_count(), 2);
+  h.cancel();
+  EXPECT_EQ(payload.use_count(), 1) << "cancel destroys the closure now";
+  EXPECT_EQ(sim.queue().stats().boxed_callbacks, 0u);
+}
+
+TEST(Continuation, ThrowingContinuationIsStillDestroyed) {
+  Simulator sim;
+  auto payload = std::make_shared<int>(0);
+  Continuation c = [keep = payload] { throw std::runtime_error("boom"); };
+  sim.after(usec(1), [c = std::move(c)] { c(); });
+  EXPECT_THROW(sim.run_to_completion(), std::runtime_error);
+  EXPECT_EQ(payload.use_count(), 1) << "closure destroyed during unwind";
+  EXPECT_EQ(sim.queue().size(), 0u);
+}
+
+}  // namespace continuation
+
+// ---------------------------------------------------------------------------
+// PacketPtr: intrusive, pooled, non-atomic shared handle
+// ---------------------------------------------------------------------------
+
+namespace packets {
+
+Packet sample_packet() {
+  Packet p;
+  p.proto = Proto::kTcp;
+  p.flow = 77;
+  p.payload = 1000;
+  p.wire_size = 1054;
+  p.seq = 123456;
+  p.ack_seq = 99;
+  p.flags.syn = true;
+  p.flags.ack = true;
+  p.sent_at = 4242;
+  p.probe_id = 31;
+  return p;
+}
+
+TEST(PacketPtr, DuplicatesShareOneNodeUntilTheLastHandleGoes) {
+  PacketPtr original = make_packet(sample_packet());
+  EXPECT_EQ(original.use_count(), 1);
+  // Fault-injected duplication delivers the same packet twice.
+  PacketPtr dup = original;
+  EXPECT_EQ(original.use_count(), 2);
+  EXPECT_EQ(dup.get(), original.get());
+  {
+    std::vector<PacketPtr> wire{original, dup};
+    EXPECT_EQ(original.use_count(), 4);
+  }
+  EXPECT_EQ(original.use_count(), 2);
+  PacketPtr moved = std::move(dup);
+  EXPECT_EQ(dup, nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(original.use_count(), 2);
+  moved.reset();
+  EXPECT_EQ(original.use_count(), 1);
+  EXPECT_EQ(original->flow, 77u);
+  PacketPtr null;
+  EXPECT_FALSE(null);
+  EXPECT_EQ(null.use_count(), 0);
+}
+
+TEST(PacketPtr, SteadyStateCreationAllocatesNothing) {
+  make_packet(sample_packet());  // warms the node size class
+  test::AllocationCounter counter;
+  std::int64_t sum = 0;
+  for (int i = 0; i < 1000; ++i) {
+    PacketPtr p = make_packet(sample_packet());
+    PacketPtr q = p;
+    sum += q->payload;
+  }
+  EXPECT_EQ(counter.delta(), 0);
+  EXPECT_EQ(sum, 1000 * 1000);
+}
+
+TEST(PacketPtr, SnapshotRoundTripOfDuplicatedPackets) {
+  PacketPtr p = make_packet(sample_packet());
+  PacketPtr dup = p;
+  Virtqueue vq("snap", 8);
+  ASSERT_TRUE(vq.add_avail({p, p->wire_size}));
+  ASSERT_TRUE(vq.add_avail({dup, dup->wire_size}));
+  ASSERT_TRUE(vq.add_avail({nullptr, 0}));
+  SnapshotWriter w;
+  w.begin_section("vq");
+  vq.snapshot_state(w);
+  SnapshotReader r;
+  ASSERT_TRUE(r.load(w.serialize()));
+  ASSERT_TRUE(r.seek("vq"));
+  EXPECT_EQ(r.get_u32(), 8u);  // capacity
+  EXPECT_EQ(r.get_u32(), 3u);  // avail entries, FIFO order
+  const Packet want = sample_packet();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(r.get_bool());
+    EXPECT_EQ(r.get_u8(), static_cast<std::uint8_t>(want.proto));
+    EXPECT_EQ(r.get_u64(), want.flow);
+    EXPECT_EQ(r.get_i64(), want.wire_size);
+    EXPECT_EQ(r.get_i64(), want.payload);
+    EXPECT_EQ(r.get_u64(), want.seq);
+    EXPECT_EQ(r.get_u64(), want.ack_seq);
+    EXPECT_TRUE(r.get_bool());
+    EXPECT_TRUE(r.get_bool());
+    EXPECT_FALSE(r.get_bool());
+    EXPECT_EQ(r.get_i64(), want.sent_at);
+    EXPECT_EQ(r.get_u64(), want.probe_id);
+    EXPECT_EQ(r.get_i64(), want.wire_size);  // entry length
+  }
+  EXPECT_FALSE(r.get_bool());  // empty receive buffer
+  EXPECT_EQ(r.get_i64(), 0);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(p.use_count(), 4);  // two handles + two ring entries
+}
+
+}  // namespace packets
+
+// ---------------------------------------------------------------------------
+// Whole cells: the measured span after warmup allocates nothing
+// ---------------------------------------------------------------------------
+
+namespace cells {
+
+TestbedOptions cell_options(const Es2Config& config, bool macro) {
+  TestbedOptions o;
+  o.config = config;
+  o.num_vms = macro ? 4 : 1;
+  o.vcpus_per_vm = macro ? 4 : 1;
+  o.stack_vms = macro;
+  o.vhost_core = 4;
+  return o;
+}
+
+struct SpanCounts {
+  std::int64_t allocs = 0;
+  std::int64_t tx_queue_stops = 0;
+};
+
+/// Allocations over 200 ms after a 200 ms warmup of a netperf stream with
+/// `threads` flows (the stream runners' world: testbed, sampler, every
+/// endpoint).
+SpanCounts stream_span(const Es2Config& config, bool macro, bool vm_sends,
+                       Proto proto, int threads = 1) {
+  Testbed tb(cell_options(config, macro));
+  std::vector<std::unique_ptr<NetperfSender>> senders;
+  std::vector<std::unique_ptr<PeerStreamReceiver>> peer_rx;
+  std::vector<std::unique_ptr<NetperfReceiver>> guest_rx;
+  std::vector<std::unique_ptr<PeerStreamSender>> peer_tx;
+  for (int t = 0; t < threads; ++t) {
+    const std::uint64_t flow = 100 + static_cast<std::uint64_t>(t);
+    if (vm_sends) {
+      senders.push_back(std::make_unique<NetperfSender>(
+          tb.guest(), tb.frontend(), flow, proto, 1024,
+          t % tb.tested_vm().num_vcpus()));
+      tb.guest().add_task(*senders.back());
+      peer_rx.push_back(
+          std::make_unique<PeerStreamReceiver>(tb.peer(), flow, proto));
+    } else {
+      guest_rx.push_back(std::make_unique<NetperfReceiver>(
+          tb.guest(), tb.frontend(), flow, proto));
+      PeerStreamSender::Params p;
+      p.proto = proto;
+      p.udp_rate_pps /= threads;
+      peer_tx.push_back(
+          std::make_unique<PeerStreamSender>(tb.peer(), flow, p));
+    }
+  }
+  tb.start();
+  for (auto& s : peer_tx) s->start();
+  tb.sim().run_for(msec(200));
+  const std::int64_t pkts_before = tb.vm_to_peer().packets_sent() +
+                                   tb.peer_to_vm().packets_sent();
+  const std::int64_t stops_before = tb.frontend().tx_queue_stops();
+  test::AllocationCounter counter;
+  tb.sim().run_for(msec(200));
+  SpanCounts counts;
+  counts.allocs = counter.delta();
+  counts.tx_queue_stops = tb.frontend().tx_queue_stops() - stops_before;
+  const std::int64_t pkts = tb.vm_to_peer().packets_sent() +
+                            tb.peer_to_vm().packets_sent() - pkts_before;
+  EXPECT_GT(pkts, 1000) << "the cell must carry traffic";
+  EXPECT_EQ(tb.sim().queue().stats().boxed_callbacks, 0u);
+  return counts;
+}
+
+TEST(WholeCellAllocations, MicroTcpSendBaselineAllocatesNothing) {
+  EXPECT_EQ(
+      stream_span(Es2Config::baseline(), false, true, Proto::kTcp).allocs, 0);
+}
+
+TEST(WholeCellAllocations, MicroUdpRecvPiHRAllocatesNothing) {
+  EXPECT_EQ(
+      stream_span(Es2Config::pi_h_r(), false, false, Proto::kUdp).allocs, 0);
+}
+
+TEST(WholeCellAllocations, MacroTcpRecvPiHRAllocatesNothing) {
+  EXPECT_EQ(
+      stream_span(Es2Config::pi_h_r(), true, false, Proto::kTcp).allocs, 0);
+}
+
+TEST(WholeCellAllocations, MacroTcpSendFourFlowsWithQueueStopsAllocatesNothing) {
+  // Four senders keep the TX ring full: queue stops park tasks on the
+  // frontend's waiter list and completions wake them, every few packets.
+  const SpanCounts c = stream_span(Es2Config::baseline(), true, true,
+                                   Proto::kTcp, /*threads=*/4);
+  EXPECT_GT(c.tx_queue_stops, 0) << "the TX ring must fill";
+  EXPECT_EQ(c.allocs, 0);
+}
+
+TEST(WholeCellAllocations, MitigatedStormCollapseIsBoundedByPoolGrowth) {
+  // run_storm's world with the collapse ramp, shortened; the overload
+  // ladder is armed. A storm drives pending SYN timers, in-flight packets
+  // and continuations to new highs, so the event pool and the block pool
+  // carve fresh slabs (and their index vectors and the calendar heaps
+  // double), and the pending table makes its one full-size reservation.
+  // Nothing allocates per packet or per connection.
+  TestbedOptions o = cell_options(Es2Config::pi_h_r(), false);
+  o.guest_params.overload_mitigation = true;
+  Testbed tb(o);
+  ApacheCosts costs;
+  costs.syn_backlog = 128;
+  costs.accept_queue = 512;
+  ApacheServer server(tb.guest(), tb.frontend(), /*base_flow=*/4000,
+                      /*client_conns=*/1, /*workers=*/4, costs);
+  StormShape shape;
+  shape.base_rate = 4000;
+  shape.peak_rate = 400000;
+  shape.ramp_up = msec(100);
+  shape.hold = msec(200);
+  shape.ramp_down = msec(100);
+  StormClient client(tb.peer(), server.listen_flow(), shape, msec(50), 5,
+                     /*max_pending=*/65536, /*syn_payload=*/256);
+  tb.start();
+  tb.sim().run_for(msec(100));
+  const std::uint64_t event_slabs_before =
+      tb.sim().queue().stats().slabs_allocated;
+  const std::size_t pool_slabs_before = pool::slabs_allocated();
+  test::AllocationCounter counter;
+  client.start();
+  tb.sim().run_for(msec(600));
+  client.stop();
+  const std::int64_t allocs = counter.delta();
+  const auto event_slabs = static_cast<std::int64_t>(
+      tb.sim().queue().stats().slabs_allocated - event_slabs_before);
+  const auto pool_slabs =
+      static_cast<std::int64_t>(pool::slabs_allocated() - pool_slabs_before);
+  const std::int64_t pkts = tb.peer_to_vm().packets_sent() +
+                            tb.vm_to_peer().packets_sent();
+  std::printf("storm collapse (mitigated): %lld allocations = %lld event "
+              "slabs + %lld pool slabs + %lld other over %lld packets\n",
+              static_cast<long long>(allocs),
+              static_cast<long long>(event_slabs),
+              static_cast<long long>(pool_slabs),
+              static_cast<long long>(allocs - event_slabs - pool_slabs),
+              static_cast<long long>(pkts));
+  EXPECT_GT(client.attempted(), 10000) << "the storm must actually arrive";
+  EXPECT_GT(tb.frontend().livelock_detections(), 0);
+  // "Other" is the pending table's one reservation plus capacity
+  // doublings, each logarithmic in its high-water mark: the calendar heaps,
+  // the event slab index, and the server's accept/backlog FIFOs (about 60
+  // here, against ~480k packets).
+  constexpr std::int64_t kReservationsAndDoublings = 96;
+  EXPECT_LE(allocs, event_slabs + pool_slabs + kReservationsAndDoublings);
+}
+
+}  // namespace cells
 
 }  // namespace
 }  // namespace es2
