@@ -12,12 +12,8 @@
 // The per-journey partition is exact by construction (cut differences
 // over [origin, eoi]), and this bench re-asserts it: the summed
 // component nanoseconds must equal the summed journey totals, exactly.
-// A violation exits nonzero regardless of the report gate.
-//
-// Without -DES2_TRACE=ON the hooks compile away and no journeys exist;
-// the bench then reports only informational zeros and exits 0 (the
-// gated comparison, bench_blame_check, is registered only in trace
-// builds against bench/baseline-trace/).
+// A violation exits nonzero regardless of the report gate, which diffs
+// BENCH_blame.json against bench/baseline/ like every other bench.
 #include <cmath>
 #include <vector>
 
@@ -51,12 +47,9 @@ int main(int argc, char** argv) {
       o.seed = args.seed;
       o.warmup = args.fast ? msec(100) : msec(250);
       o.measure = args.fast ? msec(250) : msec(800);
-      o.trace.enabled = true;
-      o.trace.capacity = std::size_t{1} << 18;
-      if (s == 2) {
-        o.profile = profile_request(args);
-        o.snapshot = hash_request(args);
-      }
+      if (s == 2) o.observe = observe_request(args);
+      o.observe.trace.enabled = true;
+      o.observe.trace.capacity = std::size_t{1} << 18;
       results[static_cast<size_t>(s)] = run_stream(o);
     });
   }
@@ -66,7 +59,6 @@ int main(int argc, char** argv) {
   CsvWriter csv({"config", "component", "kind", "ns", "fraction", "p50_ns",
                  "p99_ns"});
   bool sum_ok = true;
-  bool any_journeys = false;
 
   for (int s = 0; s < 3; ++s) {
     const StreamResult& r = results[static_cast<size_t>(s)];
@@ -79,7 +71,6 @@ int main(int argc, char** argv) {
     report.add_info(cell + ".journeys", static_cast<double>(blame.journeys));
     report.add_info(cell + ".attributed", static_cast<double>(blame.complete));
     if (blame.complete == 0) continue;
-    any_journeys = true;
 
     // PI+H is expected to land here with a near-zero attributed count:
     // quota-based hybrid handling suppresses virtually every completion
@@ -88,7 +79,7 @@ int main(int argc, char** argv) {
     // table above shows the path PI+H removed — but fractions computed
     // from a handful of journeys would gate on noise, so small samples
     // report informationally only.
-    [[maybe_unused]] const bool gate_fractions = blame.complete >= 16;
+    const bool gate_fractions = blame.complete >= 16;
 
     // The exactness check behind the gate: blame is a partition of the
     // journey interval, so the component sum must equal the journey-total
@@ -110,7 +101,6 @@ int main(int argc, char** argv) {
                    format("%.6f", c.fraction),
                    format("%lld", static_cast<long long>(c.p50)),
                    format("%lld", static_cast<long long>(c.p99))});
-#if ES2_TRACE_ENABLED
       // Gate the budget itself. Fractions are ratios of two deterministic
       // sums, so same-seed runs reproduce them exactly; the tolerance only
       // buys room for intentional model drift between baseline refreshes.
@@ -119,9 +109,7 @@ int main(int argc, char** argv) {
       } else {
         report.add_info(cell + ".frac." + c.name, c.fraction);
       }
-#endif
     }
-#if ES2_TRACE_ENABLED
     if (gate_fractions) {
       report.add(cell + ".e2e_p99_ns",
                  static_cast<double>(summary.end_to_end_p99), 0.15);
@@ -133,26 +121,12 @@ int main(int argc, char** argv) {
       report.add_info(cell + ".journeys_attributed",
                       static_cast<double>(blame.complete));
     }
-#endif
-  }
-
-  if (!any_journeys) {
-    std::printf(
-        "\n[no journeys captured — configure with -DES2_TRACE=ON to compile "
-        "the event-path hooks; blame gates are trace-build-only]\n");
   }
 
   write_csv(args, "blame", csv);
   write_bench_report(args, report);
 
   const StreamResult& profiled = results[2];
-  if (!export_trace(args, profiled.trace.get(), profiled.stages,
-                    profiled.profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, profiled.profile.get(), profiled.trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, profiled.hashes.get())) return 1;
+  if (!export_observations(args, profiled)) return 1;
   return sum_ok ? 0 : 1;
 }

@@ -98,7 +98,7 @@ int run_wedge(const BenchArgs& args) {
 std::string cell_artifact(const ChaosStreamResult& r) {
   Json a = Json::object();
   a.set("goodput_mbps", Json::number(r.stream.throughput_mbps));
-  a.set("link_dropped", Json::number(static_cast<double>(r.stream.link_dropped)));
+  a.set("link_dropped", Json::number(static_cast<double>(r.stream.drops.wire)));
   a.set("sock_backlog_drops",
         Json::number(static_cast<double>(r.stream.drops.sock_backlog)));
   a.set("backpressure_drops",
@@ -119,9 +119,8 @@ bool restore_cell(const ScenarioReport& rep, ChaosStreamResult* r) {
   if (!Json::parse(rep.artifact, &a, &error) || !a.is_object()) return false;
   r->report = rep;
   r->stream.throughput_mbps = a.number_or("goodput_mbps", 0);
-  r->stream.link_dropped =
+  r->stream.drops.wire =
       static_cast<std::int64_t>(a.number_or("link_dropped", 0));
-  r->stream.drops.wire = r->stream.link_dropped;
   r->stream.drops.sock_backlog =
       static_cast<std::int64_t>(a.number_or("sock_backlog_drops", 0));
   r->stream.drops.backpressure =
@@ -158,7 +157,7 @@ std::string stack_key(const char* label) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, {"--wedge"});
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--wedge") == 0) return run_wedge(args);
   }
@@ -201,9 +200,9 @@ int main(int argc, char** argv) {
                    // a row before calling the cell wedged.
                    o.budget.progress_window = msec(100);
                    o.budget.stall_windows = 12;
-                   // --hash-epochs: hash the healthiest cell (first stack,
-                   // zero loss) — the chaos determinism oracle.
-                   if (idx == 0) o.stream.snapshot = hash_request(args);
+                   // The observed cell: the healthiest (first stack, zero
+                   // loss) — the chaos determinism oracle.
+                   if (idx == 0) o.stream.observe = observe_request(args);
                    results[idx] = run_chaos_stream(o, name);
                    ScenarioReport rep = results[idx].report;
                    rep.artifact = cell_artifact(results[idx]);
@@ -243,7 +242,7 @@ int main(int argc, char** argv) {
       const std::string loss_pct = format("%.2f", losses[l] * 100);
       csv.add_row({stacks[s].label, loss_pct, to_string(r.report.status),
                    format("%.2f", r.stream.throughput_mbps),
-                   std::to_string(r.stream.link_dropped),
+                   std::to_string(r.stream.drops.wire),
                    std::to_string(r.stream.drops.sock_backlog),
                    std::to_string(r.stream.drops.backpressure),
                    std::to_string(r.faults.kicks_dropped),
@@ -255,7 +254,7 @@ int main(int argc, char** argv) {
                    std::to_string(r.audit_violations)});
       t.add_row({stacks[s].label, loss_pct, to_string(r.report.status),
                  format("%.2f", r.stream.throughput_mbps),
-                 with_commas(r.stream.link_dropped),
+                 with_commas(r.stream.drops.wire),
                  with_commas(r.stream.drops.sock_backlog),
                  with_commas(r.stream.drops.backpressure),
                  with_commas(r.faults.kicks_dropped),
@@ -292,7 +291,7 @@ int main(int argc, char** argv) {
   }
   write_bench_report(args, report);
 
-  if (!export_hash_log(args, results[0].stream.hashes.get())) return 1;
+  if (!export_observations(args, results[0].stream)) return 1;
 
   runner.print_failures(stdout);
   return runner.exit_code();

@@ -5,11 +5,16 @@
 // the paper's reference values for side-by-side comparison.
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <system_error>
+#include <utility>
 
 #include "base/csv.h"
 #include "base/strings.h"
@@ -22,7 +27,7 @@
 #include "snapshot/state_hash.h"
 #include "metrics/bench_schema.h"
 #include "trace/export.h"
-#include "trace/hooks.h"
+#include "trace/journey.h"
 
 namespace es2::bench {
 
@@ -34,7 +39,7 @@ struct BenchArgs {
   /// export its event-path trace as Perfetto JSON to <path>.
   std::string trace_path;
   /// --trace-smoke: after exporting, re-read the file, validate the JSON
-  /// and assert the stage latencies are populated; exit nonzero otherwise.
+  /// and assert the blame budget is populated; exit nonzero otherwise.
   bool trace_smoke = false;
   /// --profile=<path>: run one representative cell with the scoped
   /// profiler on and export collapsed stacks (flamegraph input) to
@@ -58,33 +63,81 @@ struct BenchArgs {
   int die_after = 0;
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+namespace detail {
+
+[[noreturn]] inline void usage_exit(const char* prog, const char* bad,
+                                    std::initializer_list<const char*> own) {
+  std::fprintf(stderr, "%s: unrecognized argument '%s'\n", prog, bad);
+  std::fprintf(stderr,
+               "usage: %s [--fast] [--seed=N] [--out=DIR] [--trace=PATH] "
+               "[--trace-smoke]\n"
+               "       [--profile=PATH] [--hash-epochs=PATH] [--ckpt=DIR] "
+               "[--resume=DIR]\n"
+               "       [--retries=N] [--die-after=N]",
+               prog);
+  for (const char* flag : own) std::fprintf(stderr, " [%s]", flag);
+  std::fprintf(stderr, "\n(values attach with '=': --seed=3, not --seed 3)\n");
+  std::exit(2);
+}
+
+/// Whole-string decimal parse; false on empty input, trailing junk or a
+/// value `T` cannot hold.
+template <typename T>
+bool parse_number(const std::string& text, T* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || !std::in_range<T>(v)) return false;
+  *out = static_cast<T>(v);
+  return true;
+}
+
+}  // namespace detail
+
+/// Parses the shared bench flags. `own` lists flags the bench reads from
+/// argv itself (an entry ending in '_' accepts any flag with that
+/// prefix). Anything else — an unknown or misspelled flag, or a value
+/// passed as a separate argument (`--seed 3`) — prints usage and exits 2.
+inline BenchArgs parse_args(int argc, char** argv,
+                            std::initializer_list<const char*> own = {}) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) args.fast = true;
-    if (std::strcmp(argv[i], "--trace-smoke") == 0) args.trace_smoke = true;
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+    const std::string arg = argv[i];
+    const auto take = [&arg](const char* flag, std::string* out) {
+      const std::size_t n = std::strlen(flag);
+      if (arg.compare(0, n, flag) != 0) return false;
+      *out = arg.substr(n);
+      return true;
+    };
+    if (take("--out=", &args.out_dir) || take("--trace=", &args.trace_path) ||
+        take("--profile=", &args.profile_path) ||
+        take("--hash-epochs=", &args.hash_path) ||
+        take("--ckpt=", &args.ckpt_dir)) {
+      continue;
     }
-    if (std::strncmp(argv[i], "--out=", 6) == 0) args.out_dir = argv[i] + 6;
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) args.trace_path = argv[i] + 8;
-    if (std::strncmp(argv[i], "--profile=", 10) == 0) {
-      args.profile_path = argv[i] + 10;
-    }
-    if (std::strncmp(argv[i], "--hash-epochs=", 14) == 0) {
-      args.hash_path = argv[i] + 14;
-    }
-    if (std::strncmp(argv[i], "--ckpt=", 7) == 0) args.ckpt_dir = argv[i] + 7;
-    if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-      args.ckpt_dir = argv[i] + 9;
+    std::string v;
+    bool ok = true;
+    if (arg == "--fast") {
+      args.fast = true;
+    } else if (arg == "--trace-smoke") {
+      args.trace_smoke = true;
+    } else if (take("--seed=", &v)) {
+      ok = detail::parse_number(v, &args.seed);
+    } else if (take("--resume=", &args.ckpt_dir)) {
       args.resume = true;
+    } else if (take("--retries=", &v)) {
+      ok = detail::parse_number(v, &args.retries);
+    } else if (take("--die-after=", &v)) {
+      ok = detail::parse_number(v, &args.die_after);
+    } else {
+      ok = std::any_of(own.begin(), own.end(), [&arg](const char* flag) {
+        const std::size_t n = std::strlen(flag);
+        return flag[n - 1] == '_' ? arg.compare(0, n, flag) == 0
+                                  : arg == flag;
+      });
     }
-    if (std::strncmp(argv[i], "--retries=", 10) == 0) {
-      args.retries = static_cast<int>(std::strtol(argv[i] + 10, nullptr, 10));
-    }
-    if (std::strncmp(argv[i], "--die-after=", 12) == 0) {
-      args.die_after = static_cast<int>(std::strtol(argv[i] + 12, nullptr, 10));
-    }
+    if (!ok) detail::usage_exit(argv[0], argv[i], own);
   }
   return args;
 }
@@ -99,87 +152,68 @@ inline RunnerOptions runner_options(const BenchArgs& args) {
   return o;
 }
 
-/// Trace request for the one bench cell elected to run traced (no-op
-/// TraceOptions when --trace was not given).
-inline TraceOptions trace_request(const BenchArgs& args) {
-  TraceOptions t;
-  t.enabled = !args.trace_path.empty();
-  t.capacity = std::size_t{1} << 18;
-  return t;
+/// Observer request for the one bench cell elected as representative (the
+/// "observed cell"): tracing for --trace, the profiler for --profile and
+/// epoch hashing for --hash-epochs (no-op ObserveOptions when none was
+/// given). Benches arm them on the same cell so the exports describe one
+/// run.
+inline ObserveOptions observe_request(const BenchArgs& args) {
+  ObserveOptions o;
+  o.trace.enabled = !args.trace_path.empty();
+  o.trace.capacity = std::size_t{1} << 18;
+  o.profile.enabled = !args.profile_path.empty();
+  o.snapshot.hash_epochs = !args.hash_path.empty();
+  return o;
 }
 
-/// Profiler request for the one bench cell elected to run profiled (no-op
-/// ProfileOptions when --profile was not given). Pairs with trace_request:
-/// benches arm both on the same cell so the blame report and the profiler
-/// slices describe one run.
-inline ProfileOptions profile_request(const BenchArgs& args) {
-  ProfileOptions p;
-  p.enabled = !args.profile_path.empty();
-  return p;
-}
-
-/// Exports the traced cell's journey data to --trace=<path> and prints the
-/// stage breakdown. When the cell was also profiled, the profiler's span
-/// slices ride along as Perfetto "X" events next to the journey bars.
-/// Returns false when --trace-smoke was requested and the export failed
-/// validation (missing records, invalid JSON, empty stages).
+/// Exports the traced cell's records and journey bars to --trace=<path>
+/// as Perfetto JSON and prints its blame budget. When the cell was also
+/// profiled, the profiler's span slices ride along as Perfetto "X" events
+/// next to the journey bars. Returns false when --trace-smoke was
+/// requested and the export failed validation (no records, invalid JSON,
+/// empty budget).
 inline bool export_trace(const BenchArgs& args, const TraceData* trace,
-                         const TraceStages& stages,
-                         const ProfileData* profile = nullptr) {
+                         const ProfileData* profile) {
   if (args.trace_path.empty()) return true;
   if (trace == nullptr || trace->records.empty()) {
-    std::printf(
-        "[trace requested but no records captured — configure with "
-        "-DES2_TRACE=ON to compile the instrumentation hooks]\n");
+    std::printf("[trace requested but no records captured]\n");
     return !args.trace_smoke;
   }
   const std::vector<PerfettoSlice> prof_slices =
       profile != nullptr ? prof_perfetto_slices(*profile)
                          : std::vector<PerfettoSlice>{};
-  const std::string json =
-      to_perfetto_json(trace->records, trace->spans, prof_slices);
+  const std::string json = to_perfetto_json(
+      trace->records, stitch_journeys(trace->records), prof_slices);
   if (!write_file(args.trace_path, json)) {
     std::printf("[trace export to %s failed]\n", args.trace_path.c_str());
     return false;
   }
+  const BlameBreakdown blame = blame_of(trace);
+  const double delivery = blame.fraction(BlameComponent::kMsiDelivery) +
+                          blame.fraction(BlameComponent::kVcpuWait);
+  const double guest = blame.fraction(BlameComponent::kGuestService);
   std::printf(
-      "[trace: %zu records, %lld journeys (%lld complete) -> %s]\n"
-      "[stages ns p50/p99: kick->backend %lld/%lld, backend->msi %lld/%lld, "
-      "msi->dispatch %lld/%lld, dispatch->eoi %lld/%lld, end-to-end "
-      "%lld/%lld]\n",
-      trace->records.size(), static_cast<long long>(stages.journeys),
-      static_cast<long long>(stages.complete), args.trace_path.c_str(),
-      static_cast<long long>(stages.kick_to_backend_p50),
-      static_cast<long long>(stages.kick_to_backend_p99),
-      static_cast<long long>(stages.backend_to_msi_p50),
-      static_cast<long long>(stages.backend_to_msi_p99),
-      static_cast<long long>(stages.msi_to_dispatch_p50),
-      static_cast<long long>(stages.msi_to_dispatch_p99),
-      static_cast<long long>(stages.dispatch_to_eoi_p50),
-      static_cast<long long>(stages.dispatch_to_eoi_p99),
-      static_cast<long long>(stages.end_to_end_p50),
-      static_cast<long long>(stages.end_to_end_p99));
+      "[trace: %zu records, %lld journeys (%lld attributed) -> %s]\n"
+      "[blame: end-to-end p50/p99 %lld/%lld ns; msi_delivery+vcpu_wait "
+      "%.1f%%, guest_service %.1f%%]\n",
+      trace->records.size(), static_cast<long long>(blame.journeys),
+      static_cast<long long>(blame.complete), args.trace_path.c_str(),
+      static_cast<long long>(blame.end_to_end.p50()),
+      static_cast<long long>(blame.end_to_end.p99()), 100.0 * delivery,
+      100.0 * guest);
   if (!args.trace_smoke) return true;
   std::string reread;
   if (!read_file(args.trace_path, &reread) || !json_valid(reread)) {
     std::printf("[trace smoke FAILED: exported JSON does not parse]\n");
     return false;
   }
-  if (stages.complete <= 0 || stages.end_to_end_p50 <= 0 ||
-      stages.msi_to_dispatch_p50 <= 0 || stages.dispatch_to_eoi_p50 <= 0) {
-    std::printf("[trace smoke FAILED: stage latencies not populated]\n");
+  if (blame.complete <= 0 || blame.end_to_end.p50() <= 0 || delivery <= 0 ||
+      guest <= 0) {
+    std::printf("[trace smoke FAILED: blame budget not populated]\n");
     return false;
   }
   std::printf("[trace smoke ok]\n");
   return true;
-}
-
-/// Epoch-hash request for the one bench cell elected to run hashed (no-op
-/// SnapshotOptions when --hash-epochs was not given).
-inline SnapshotOptions hash_request(const BenchArgs& args) {
-  SnapshotOptions s;
-  s.hash_epochs = !args.hash_path.empty();
-  return s;
 }
 
 /// Exports the hashed cell's es2-hash-v1 series to --hash-epochs=<path>.
@@ -207,16 +241,11 @@ inline bool export_hash_log(const BenchArgs& args, const HashSeries* series) {
 /// printing the per-component budget table. Returns false only when a
 /// requested write failed.
 inline bool export_profile(const BenchArgs& args, const ProfileData* profile,
-                           const TraceData* trace = nullptr) {
+                           const TraceData* trace) {
   if (args.profile_path.empty()) return true;
   if (profile == nullptr) {
     std::printf("[--profile requested but no profiler ran]\n");
     return false;
-  }
-  if (profile->spans.empty() && profile->nodes.empty()) {
-    std::printf(
-        "[profile requested but no scopes recorded — configure with "
-        "-DES2_PROFILE=ON to compile the instrumentation hooks]\n");
   }
   if (!write_file(args.profile_path,
                   prof_to_collapsed(*profile, CollapsedWeight::kSimNs))) {
@@ -253,36 +282,31 @@ inline bool export_profile(const BenchArgs& args, const ProfileData* profile,
   return true;
 }
 
-/// --profile for benches without a natural testbed cell: runs one short
-/// canonical stream with the profiler (and, for blame, the tracer) on and
-/// exports it. No-op when the flag was not given.
-inline bool export_standalone_profile(const BenchArgs& args) {
-  if (args.profile_path.empty()) return true;
-  StreamOptions o;
-  o.config = Es2Config::pi_h_r();
-  o.seed = args.seed;
-  o.warmup = msec(100);
-  o.measure = msec(400);
-  o.profile = profile_request(args);
-  o.trace.enabled = true;
-  o.trace.capacity = std::size_t{1} << 18;
-  const StreamResult r = run_stream(o);
-  return export_profile(args, r.profile.get(), r.trace.get());
+/// Writes every export the flags asked for (--trace, --profile,
+/// --hash-epochs) from the representative cell's observations. Returns
+/// false at the first requested export that failed.
+inline bool export_observations(const BenchArgs& args,
+                                const Observations& obs) {
+  return export_trace(args, obs.trace.get(), obs.profile.get()) &&
+         export_profile(args, obs.profile.get(), obs.trace.get()) &&
+         export_hash_log(args, obs.hashes.get());
 }
 
-/// --hash-epochs for benches without a natural testbed cell (micro,
-/// eventcore, related_work): runs one short canonical stream with hashing
-/// on and exports its series. No-op when the flag was not given.
-inline bool export_standalone_hash_log(const BenchArgs& args) {
-  if (args.hash_path.empty()) return true;
+/// The observer flags for benches without a natural testbed cell (micro,
+/// eventcore, related_work, dataplane): runs one short canonical stream
+/// with the requested observers on and exports it. --profile also traces
+/// the stream so its blame report has journeys. No-op without the flags.
+inline bool export_standalone_observations(const BenchArgs& args) {
+  ObserveOptions observe = observe_request(args);
+  observe.trace.enabled |= observe.profile.enabled;
+  if (!observe.trace.enabled && !observe.snapshot.hash_epochs) return true;
   StreamOptions o;
   o.config = Es2Config::pi_h_r();
   o.seed = args.seed;
   o.warmup = msec(100);
   o.measure = msec(400);
-  o.snapshot = hash_request(args);
-  const StreamResult r = run_stream(o);
-  return export_hash_log(args, r.hashes.get());
+  o.observe = observe;
+  return export_observations(args, run_stream(o));
 }
 
 inline void print_header(const char* id, const char* title) {

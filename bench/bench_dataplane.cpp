@@ -43,7 +43,8 @@ bool scalars_identical(const StreamResult& a, const StreamResult& b) {
          a.packets_per_sec == b.packets_per_sec &&
          a.kicks_per_sec == b.kicks_per_sec &&
          a.guest_irqs_per_sec == b.guest_irqs_per_sec &&
-         a.rx_dropped == b.rx_dropped && a.link_dropped == b.link_dropped &&
+         a.drops.sock_backlog == b.drops.sock_backlog &&
+         a.drops.wire == b.drops.wire &&
          a.exits.total == b.exits.total;
 }
 
@@ -169,7 +170,6 @@ int main(int argc, char** argv) {
 
   write_csv(args, "dataplane", csv);
   write_bench_report(args, report);
-  if (!export_standalone_hash_log(args)) return 1;
-  if (!export_standalone_profile(args)) return 1;
+  if (!export_standalone_observations(args)) return 1;
   return (invariant_ok && exitless_ok && adaptive_ok) ? 0 : 1;
 }

@@ -50,20 +50,9 @@ int main(int argc, char** argv) {
         o.seed = args.seed;
         o.warmup = args.fast ? msec(100) : msec(250);
         o.measure = args.fast ? msec(250) : msec(800);
-        // --trace: capture the recv-TCP / PI cell, the paper's canonical
-        // exit-less delivery path.
-        if (c * 3 + s == 7) {
-          o.trace = trace_request(args);
-          o.profile = profile_request(args);
-          o.snapshot = hash_request(args);
-        }
-#if ES2_TRACE_ENABLED
-        // Trace builds run every cell traced so the per-stage blame
-        // columns below cover the whole grid (tracing is passive; the
-        // exit/TIG numbers and the gated report are unchanged).
-        o.trace.enabled = true;
-        o.trace.capacity = std::size_t{1} << 18;
-#endif
+        // The observed cell: recv-TCP / PI, the paper's canonical exit-less
+        // delivery path.
+        if (c * 3 + s == 7) o.observe = observe_request(args);
         results[c * 3 + s] = run_stream(o);
       });
     }
@@ -91,37 +80,6 @@ int main(int argc, char** argv) {
   }
   write_csv(args, "fig5", csv);
 
-#if ES2_TRACE_ENABLED
-  // Per-stage blame columns (trace builds only): the share of total
-  // journey time each event-path component owns, per cell. The committed
-  // fig5.csv format above is untouched; the budget gate proper lives in
-  // bench_blame.
-  CsvWriter blame_csv(
-      {"case", "config", "component", "kind", "ns", "fraction"});
-  for (size_t c = 0; c < 4; ++c) {
-    Table bt({"Config", "notify%", "sched%", "queue%", "backend%", "suppr%",
-              "vcpu%", "msi%", "guest%", "p99 us"});
-    for (int s = 0; s < 3; ++s) {
-      const StreamResult& r = results[c * 3 + s];
-      const BlameSummary summary = blame_summary(blame_of(r.trace.get()));
-      std::vector<std::string> row{config_names[s]};
-      for (const BlameSummary::Component& comp : summary.components) {
-        row.push_back(fixed(comp.fraction * 100.0, 1));
-        blame_csv.add_row({cases[c].label, config_names[s], comp.name,
-                           comp.wait ? "wait" : "service",
-                           format("%lld", static_cast<long long>(comp.ns)),
-                           format("%.6f", comp.fraction)});
-      }
-      row.push_back(
-          fixed(static_cast<double>(summary.end_to_end_p99) / 1000.0, 1));
-      bt.add_row(row);
-    }
-    std::printf("\n-- %s 1024B blame shares\n%s", cases[c].label,
-                bt.render().c_str());
-  }
-  write_csv(args, "fig5_blame", blame_csv);
-#endif
-
   BenchReport report = make_report(args, "fig5");
   const char* case_keys[] = {"send_tcp", "send_udp", "recv_tcp", "recv_udp"};
   const char* config_keys[] = {"baseline", "pi", "pi_h"};
@@ -137,13 +95,6 @@ int main(int argc, char** argv) {
   write_bench_report(args, report);
 
   const StreamResult& traced = results[7];
-  if (!export_trace(args, traced.trace.get(), traced.stages,
-                    traced.profile.get())) {
-    return 1;
-  }
-  if (!export_profile(args, traced.profile.get(), traced.trace.get())) {
-    return 1;
-  }
-  if (!export_hash_log(args, traced.hashes.get())) return 1;
+  if (!export_observations(args, traced)) return 1;
   return 0;
 }

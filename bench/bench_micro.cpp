@@ -167,7 +167,8 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 }  // namespace es2
 
 int main(int argc, char** argv) {
-  const es2::bench::BenchArgs args = es2::bench::parse_args(argc, argv);
+  const es2::bench::BenchArgs args =
+      es2::bench::parse_args(argc, argv, {"--benchmark_"});
   // Benchmark's flag parser must not see our flags; hand it a filtered
   // argv (plus a short min-time under --fast).
   std::vector<std::string> fwd_storage = {argv[0]};
@@ -195,7 +196,6 @@ int main(int argc, char** argv) {
     report.add_info(key + ".ns_per_iter", ns);
   }
   es2::bench::write_bench_report(args, report);
-  if (!es2::bench::export_standalone_hash_log(args)) return 1;
-  if (!es2::bench::export_standalone_profile(args)) return 1;
+  if (!es2::bench::export_standalone_observations(args)) return 1;
   return 0;
 }

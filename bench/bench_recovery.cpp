@@ -88,7 +88,7 @@ int run_soak(const BenchArgs& args) {
   o.chaos.stream.warmup = msec(200);
   o.chaos.stream.measure = args.fast ? sec(2) : sec(10);
   o.chaos.budget.max_sim_time = o.chaos.stream.measure + sec(5);
-  o.chaos.stream.snapshot.hash_epochs = true;  // the state-hash log leg
+  o.chaos.stream.observe.snapshot.hash_epochs = true;  // the state-hash log leg
   const RecoveryStreamResult r = run_recovery_stream(o, "recovery-soak");
 
   std::printf("%s\n", r.chaos.report.to_line().c_str());
@@ -120,10 +120,7 @@ int run_soak(const BenchArgs& args) {
   }
   // The soak always hashes; --hash-epochs additionally exports the series
   // for tools/divergence_bisect (recovery-path nondeterminism hunts).
-  if (!args.hash_path.empty() &&
-      !export_hash_log(args, r.chaos.stream.hashes.get())) {
-    return 1;
-  }
+  if (!export_hash_log(args, r.chaos.stream.hashes.get())) return 1;
   std::printf("audit: %llu sweeps, %lld violations\n",
               static_cast<unsigned long long>(r.chaos.audit_sweeps),
               static_cast<long long>(r.chaos.audit_violations));
@@ -148,7 +145,7 @@ int run_soak(const BenchArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
+  const BenchArgs args = parse_args(argc, argv, {"--soak"});
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--soak") == 0) return run_soak(args);
   }

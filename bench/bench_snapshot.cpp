@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   TestbedOptions to;
   to.config = Es2Config::pi_h_r();
   to.seed = args.seed;
-  to.snapshot.hash_epochs = true;
-  to.snapshot.epoch = msec(5);
+  to.observe.snapshot.hash_epochs = true;
+  to.observe.snapshot.epoch = msec(5);
   Testbed tb(to);
   const std::uint64_t flow = 100;
   NetperfSender sender(tb.guest(), tb.frontend(), flow, Proto::kTcp, 1024, 0);

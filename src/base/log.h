@@ -77,7 +77,6 @@ std::string vformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
     }                                                                   \
   } while (0)
 
-#define ES2_TRACE(now, ...) ES2_LOG_AT(::es2::LogLevel::kTrace, now, __VA_ARGS__)
 #define ES2_DEBUG(now, ...) ES2_LOG_AT(::es2::LogLevel::kDebug, now, __VA_ARGS__)
 #define ES2_INFO(now, ...) ES2_LOG_AT(::es2::LogLevel::kInfo, now, __VA_ARGS__)
 #define ES2_WARN(now, ...) ES2_LOG_AT(::es2::LogLevel::kWarn, now, __VA_ARGS__)

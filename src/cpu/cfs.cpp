@@ -236,9 +236,7 @@ void CfsScheduler::check_wakeup_preemption(Core& core, SimThread& woken) {
 }
 
 void CfsScheduler::do_resched(Core& core) {
-#if ES2_PROFILE_ENABLED
   Profiler::Scope prof_scope(active_profiler(sim_), ProfComp::kCfsResched);
-#endif
   core.resched_pending_ = false;
   core.slice_timer_.cancel();
   account_current(core);

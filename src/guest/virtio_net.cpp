@@ -121,13 +121,11 @@ void VirtioNetFrontend::handle_irq(Vcpu& vcpu, Vector vector) {
     backend_.rx_vq(pair).disable_interrupts();
     backend_.tx_vq(pair).disable_interrupts();
     napi_scheduled_[static_cast<std::size_t>(pair)] = true;
-#if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
       tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNotifyDisable,
                vcpu.vm().id(), vcpu.index(), -1, /*arg=*/2,
                tr->current_service(vcpu.vm().id(), vcpu.index()));
     }
-#endif
     vcpu.guest_eoi([this, &vcpu, pair] {
       const GuestParams& p = os_.params();
       vcpu.guest_exec(p.softirq_entry, [this, &vcpu, pair] {
@@ -142,7 +140,6 @@ void VirtioNetFrontend::handle_irq(Vcpu& vcpu, Vector vector) {
 
 void VirtioNetFrontend::napi_poll(Vcpu& vcpu, int pair,
                                   Continuation done) {
-#if ES2_PROFILE_ENABLED
   // One poll pass per (vm, pair); the span closes in finish_poll when the
   // pass re-arms interrupts (the napi_complete epilogue is excluded).
   if (Profiler* pf = active_profiler(vcpu.vm().host().sim())) {
@@ -150,14 +147,11 @@ void VirtioNetFrontend::napi_poll(Vcpu& vcpu, int pair,
                    static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
                    vcpu.vm().host().sim().now());
   }
-#endif
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
     tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNapiPoll,
              vcpu.vm().id(), vcpu.index(), -1, /*arg=*/0,
              tr->current_service(vcpu.vm().id(), vcpu.index()));
   }
-#endif
   reclaim_tx(vcpu, pair, [this, &vcpu, pair, done = std::move(done)]() mutable {
     napi_poll_one(vcpu, pair, os_.params().napi_weight, std::move(done));
   });
@@ -236,32 +230,26 @@ void VirtioNetFrontend::finish_poll(Vcpu& vcpu, int pair,
       napi_poll_one(vcpu, pair, os_.params().napi_weight, std::move(done));
       return;
     }
-#if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
       tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNotifyEnable,
                vcpu.vm().id(), vcpu.index(), -1, /*arg=*/2,
                tr->current_service(vcpu.vm().id(), vcpu.index()));
     }
-#endif
     // TX-completion interrupts are armed only while senders wait on a
     // stopped queue; otherwise virtio-net leaves them off.
     if (!tx_waiters_.empty()) {
       backend_.tx_vq(pair).enable_interrupts();
-#if ES2_TRACE_ENABLED
       if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
         tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNotifyEnable,
                  vcpu.vm().id(), vcpu.index(), -1, /*arg=*/3,
                  tr->current_service(vcpu.vm().id(), vcpu.index()));
       }
-#endif
     }
-#if ES2_PROFILE_ENABLED
     if (Profiler* pf = active_profiler(vcpu.vm().host().sim())) {
       pf->span_end(ProfComp::kGuestNapi,
                    static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
                    vcpu.vm().host().sim().now());
     }
-#endif
     vcpu.guest_exec(os_.params().napi_complete, std::move(done));
   });
 }
@@ -308,14 +296,12 @@ void VirtioNetFrontend::refill_rx(Vcpu& vcpu, int pair,
                          std::move(done));
       return;
     }
-#if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
       // EVENT_IDX said the host is already polling: the refill needed no
       // exit at all — the suppression win the paper's Table 1 counts.
       tr->emit(vcpu.vm().host().sim().now(), TraceKind::kKickSuppressed,
                vcpu.vm().id(), vcpu.index(), -1, /*arg=*/1);
     }
-#endif
     done();
   });
 }
@@ -364,12 +350,10 @@ void VirtioNetFrontend::transmit(Vcpu& vcpu, PacketPtr packet,
                        [done = std::move(done)] { done(true); });
     return;
   }
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
     tr->emit(vcpu.vm().host().sim().now(), TraceKind::kKickSuppressed,
              vcpu.vm().id(), vcpu.index(), -1, /*arg=*/0);
   }
-#endif
   done(true);
 }
 
@@ -456,12 +440,10 @@ void VirtioNetFrontend::watchdog_pair(Vcpu& vcpu, int pair,
     if (RecoveryLog* log = backend_.recovery_log()) {
       log->note_action(RecoveryRung::kGuestWatchdog, kScopeRx);
     }
-#if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
       tr->emit(vcpu.vm().host().sim().now(), TraceKind::kWatchdogRecover,
                vcpu.vm().id(), vcpu.index(), -1, /*arg=*/1);
     }
-#endif
     backend_.rx_vq(pair).disable_interrupts();
     backend_.tx_vq(pair).disable_interrupts();
     napi_scheduled_[i] = true;
@@ -491,12 +473,10 @@ void VirtioNetFrontend::watchdog_pair(Vcpu& vcpu, int pair,
   if (RecoveryLog* log = backend_.recovery_log()) {
     log->note_action(RecoveryRung::kGuestWatchdog, kScopeTx);
   }
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
     tr->emit(vcpu.vm().host().sim().now(), TraceKind::kWatchdogRecover,
              vcpu.vm().id(), vcpu.index(), -1, /*arg=*/0);
   }
-#endif
   vcpu.guest_exec(os_.params().tx_watchdog_rekick,
                   [this, &vcpu, pair,
                    rx_stage = std::move(rx_stage)]() mutable {
@@ -695,11 +675,9 @@ void VirtioNetFrontend::overload_escalate(Vcpu& vcpu) {
     overload_episode_open_ = true;
     if (log != nullptr) {
       std::uint64_t corr = 0;
-#if ES2_TRACE_ENABLED
       if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
         corr = tr->current_service(vcpu.vm().id(), vcpu.index());
       }
-#endif
       log->open(LifecycleFault::kRxLivelock, kScopeApp,
                 os_.vm().host().sim().now(), corr);
       log->note_action(RecoveryRung::kNapiClamp, kScopeApp);
@@ -711,12 +689,10 @@ void VirtioNetFrontend::overload_escalate(Vcpu& vcpu) {
     // Rung 3 is applied by the application, which polls overload_rung().
     if (log != nullptr) log->note_action(RecoveryRung::kAcceptShed, kScopeApp);
   }
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
     tr->emit(vcpu.vm().host().sim().now(), TraceKind::kWatchdogRecover,
              vcpu.vm().id(), vcpu.index(), -1, /*arg=*/2 + overload_rung_);
   }
-#endif
 }
 
 void VirtioNetFrontend::overload_deescalate() {
@@ -729,7 +705,6 @@ void VirtioNetFrontend::ksoftirqd_defer(Vcpu& vcpu, int pair) {
   (void)vcpu;
   ++ksoftirqd_defers_;
   ksoftirqd_pending_[static_cast<std::size_t>(pair)] = 1;
-#if ES2_PROFILE_ENABLED
   // The softirq pass genuinely ends here; ksoftirqd's polling is ordinary
   // task work, so the NAPI span closes now.
   if (Profiler* pf = active_profiler(vcpu.vm().host().sim())) {
@@ -737,15 +712,12 @@ void VirtioNetFrontend::ksoftirqd_defer(Vcpu& vcpu, int pair) {
                  static_cast<unsigned>(vcpu.vm().id() * 16 + pair),
                  vcpu.vm().host().sim().now());
   }
-#endif
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(vcpu.vm().host().sim())) {
     // arg=1 marks a ksoftirqd handoff (plain poll passes emit arg=0).
     tr->emit(vcpu.vm().host().sim().now(), TraceKind::kNapiPoll,
              vcpu.vm().id(), vcpu.index(), -1, /*arg=*/1,
              tr->current_service(vcpu.vm().id(), vcpu.index()));
   }
-#endif
   ksoftirqd_->wake();
 }
 

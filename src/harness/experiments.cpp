@@ -105,31 +105,7 @@ struct StreamWorkload {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Traces
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<TraceData> harvest_trace(Testbed& tb) {
-  Tracer* tracer = tb.tracer();
-  if (tracer == nullptr) return nullptr;
-  auto data = std::make_shared<TraceData>();
-  data->records = tracer->snapshot();
-  data->breakdown = build_spans(data->records, &data->spans);
-  return data;
-}
-
-std::shared_ptr<ProfileData> harvest_profile(Testbed& tb) {
-  Profiler* profiler = tb.profiler();
-  if (profiler == nullptr) return nullptr;
-  return std::make_shared<ProfileData>(profiler->data());
-}
-
-BlameBreakdown blame_of(const TraceData* data, const BlameOptions& options) {
-  if (data == nullptr) return BlameBreakdown{};
-  return analyze_blame(data->records, options);
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry
+// Observations
 // ---------------------------------------------------------------------------
 
 double MetricsData::value(const std::string& key, double fallback) const {
@@ -150,29 +126,22 @@ std::shared_ptr<MetricsData> harvest_metrics(Testbed& tb) {
   return data;
 }
 
-std::shared_ptr<HashSeries> harvest_hashes(Testbed& tb) {
-  const EpochHashLog* log = tb.hash_log();
-  if (log == nullptr) return nullptr;
-  return std::make_shared<HashSeries>(log->series());
+void Observations::harvest(Testbed& tb) {
+  if (const Tracer* tracer = tb.tracer()) {
+    trace = std::make_shared<TraceData>(TraceData{tracer->snapshot()});
+  }
+  if (const Profiler* profiler = tb.profiler()) {
+    profile = std::make_shared<ProfileData>(profiler->data());
+  }
+  metrics = harvest_metrics(tb);
+  if (const EpochHashLog* log = tb.hash_log()) {
+    hashes = std::make_shared<HashSeries>(log->series());
+  }
 }
 
-TraceStages trace_stages(const TraceData* data) {
-  TraceStages s;
-  if (data == nullptr) return s;
-  const SpanBreakdown& b = data->breakdown;
-  s.journeys = static_cast<std::int64_t>(data->spans.size());
-  s.complete = b.complete;
-  s.kick_to_backend_p50 = b.kick_to_backend.p50();
-  s.kick_to_backend_p99 = b.kick_to_backend.p99();
-  s.backend_to_msi_p50 = b.backend_to_msi.p50();
-  s.backend_to_msi_p99 = b.backend_to_msi.p99();
-  s.msi_to_dispatch_p50 = b.msi_to_dispatch.p50();
-  s.msi_to_dispatch_p99 = b.msi_to_dispatch.p99();
-  s.dispatch_to_eoi_p50 = b.dispatch_to_eoi.p50();
-  s.dispatch_to_eoi_p99 = b.dispatch_to_eoi.p99();
-  s.end_to_end_p50 = b.end_to_end.p50();
-  s.end_to_end_p99 = b.end_to_end.p99();
-  return s;
+BlameBreakdown blame_of(const TraceData* data, const BlameOptions& options) {
+  if (data == nullptr) return BlameBreakdown{};
+  return analyze_blame(data->records, options);
 }
 
 ExitBreakdown exit_breakdown(const ExitStats& stats, SimTime now) {
@@ -259,9 +228,6 @@ struct StreamWindow {
       result.guest_irqs_per_sec =
           static_cast<double>(irqs - irqs_base) / secs;
     }
-    result.rx_dropped = tb.backend().rx_dropped();
-    result.link_dropped = static_cast<std::int64_t>(
-        tb.vm_to_peer().packets_dropped() + tb.peer_to_vm().packets_dropped());
     result.drops = stream_drops(tb);
     return result;
   }
@@ -272,10 +238,7 @@ struct StreamWindow {
 StreamResult run_stream(const StreamOptions& opts) {
   TestbedOptions to = testbed_options(opts.config, opts.macro, opts.seed);
   apply_dataplane(to, opts);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
+  to.observe = opts.observe;
   Testbed tb(to);
   if (opts.quota_override > 0) {
     HybridIoHandling::attach(tb.backend(), opts.quota_override);
@@ -292,11 +255,7 @@ StreamResult run_stream(const StreamOptions& opts) {
   window.open(tb, w);
   tb.sim().run_for(opts.measure);
   StreamResult result = window.collect(tb, w, opts.vm_sends);
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  result.harvest(tb);
   return result;
 }
 
@@ -311,10 +270,7 @@ TestbedOptions chaos_testbed_options(const ChaosStreamOptions& opts) {
   to.audit = opts.audit;
   to.audit_period = opts.audit_period;
   to.guest_params.tx_watchdog = opts.tx_watchdog;
-  to.trace = opts.stream.trace;
-  to.profile = opts.stream.profile;
-  to.metrics = opts.stream.metrics;
-  to.snapshot = opts.stream.snapshot;
+  to.observe = opts.stream.observe;
   return to;
 }
 
@@ -347,9 +303,6 @@ ChaosStreamResult supervise_stream(Testbed& tb, StreamWorkload& w,
   if (window_open) {
     result.stream = window.collect(tb, w, opts.stream.vm_sends);
   } else {
-    result.stream.rx_dropped = tb.backend().rx_dropped();
-    result.stream.link_dropped = static_cast<std::int64_t>(
-        tb.vm_to_peer().packets_dropped() + tb.peer_to_vm().packets_dropped());
     result.stream.drops = stream_drops(tb);
   }
 
@@ -370,11 +323,7 @@ ChaosStreamResult supervise_stream(Testbed& tb, StreamWorkload& w,
     result.audit_sweeps = tb.auditor()->sweeps();
     result.audit_violations = tb.auditor()->total_violations();
   }
-  result.stream.trace = harvest_trace(tb);
-  result.stream.profile = harvest_profile(tb);
-  result.stream.stages = trace_stages(result.stream.trace.get());
-  result.stream.metrics = harvest_metrics(tb);
-  result.stream.hashes = harvest_hashes(tb);
+  result.stream.harvest(tb);
   result.report = wd.report(name);
   // Failure lines carry the top moving metrics so a wedge points at the
   // layer that stopped (or never started) making progress.
@@ -506,10 +455,7 @@ RecoveryStreamResult run_recovery_stream(const RecoveryStreamOptions& opts,
 
 PingResult run_ping(const PingOptions& opts) {
   TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
+  to.observe = opts.observe;
   Testbed tb(to);
   const std::uint64_t flow = 7;
   PingResponder responder(tb.guest(), tb.frontend(), flow);
@@ -528,11 +474,7 @@ PingResult run_ping(const PingOptions& opts) {
   result.rtt = client.rtt();
   result.samples = client.samples();
   result.lost = client.lost();
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  result.harvest(tb);
   return result;
 }
 
@@ -542,10 +484,7 @@ PingResult run_ping(const PingOptions& opts) {
 
 MemcachedResult run_memcached(const MemcachedOptions& opts) {
   TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
+  to.observe = opts.observe;
   Testbed tb(to);
   const std::uint64_t base_flow = 1000;
   MemcachedServer server(tb.guest(), tb.frontend(), base_flow,
@@ -568,11 +507,7 @@ MemcachedResult run_memcached(const MemcachedOptions& opts) {
   result.ops_per_sec = client.ops_per_sec(tb.sim().now());
   result.throughput_mbps = client.response_mbps(tb.sim().now());
   result.latency = client.latency();
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  result.harvest(tb);
   return result;
 }
 
@@ -582,10 +517,7 @@ MemcachedResult run_memcached(const MemcachedOptions& opts) {
 
 ApacheResult run_apache(const ApacheOptions& opts) {
   TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
+  to.observe = opts.observe;
   Testbed tb(to);
   const std::uint64_t base_flow = 2000;
   ApacheServer server(tb.guest(), tb.frontend(), base_flow, opts.concurrency,
@@ -603,20 +535,13 @@ ApacheResult run_apache(const ApacheOptions& opts) {
   ApacheResult result;
   result.requests_per_sec = client.requests_per_sec(tb.sim().now());
   result.throughput_mbps = client.response_mbps(tb.sim().now());
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  result.harvest(tb);
   return result;
 }
 
 HttperfResult run_httperf(const HttperfOptions& opts) {
   TestbedOptions to = testbed_options(opts.config, /*macro=*/true, opts.seed);
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
+  to.observe = opts.observe;
   Testbed tb(to);
   const std::uint64_t base_flow = 3000;
   ApacheServer server(tb.guest(), tb.frontend(), base_flow, /*client_conns=*/1,
@@ -638,11 +563,7 @@ HttperfResult run_httperf(const HttperfOptions& opts) {
       static_cast<double>(client.connect_time().p99()) / 1e6;
   result.established = client.established();
   result.retries = client.retries();
-  result.trace = harvest_trace(tb);
-  result.profile = harvest_profile(tb);
-  result.stages = trace_stages(result.trace.get());
-  result.metrics = harvest_metrics(tb);
-  result.hashes = harvest_hashes(tb);
+  result.harvest(tb);
   return result;
 }
 
@@ -653,10 +574,7 @@ HttperfResult run_httperf(const HttperfOptions& opts) {
 StormResult run_storm(const StormOptions& opts, const std::string& name) {
   TestbedOptions to = testbed_options(opts.config, /*macro=*/false, opts.seed);
   to.guest_params.overload_mitigation = opts.mitigation;
-  to.trace = opts.trace;
-  to.profile = opts.profile;
-  to.metrics = opts.metrics;
-  to.snapshot = opts.snapshot;
+  to.observe = opts.observe;
   Testbed tb(to);
   ApacheCosts costs;
   costs.syn_backlog = opts.syn_backlog;
@@ -736,11 +654,7 @@ StormResult run_storm(const StormOptions& opts, const std::string& name) {
   r.report = wd.report(name);
   r.livelocked = r.report.status == ScenarioStatus::kLivelock;
   r.livelock_expected = opts.expect_livelock;
-  r.trace = harvest_trace(tb);
-  r.profile = harvest_profile(tb);
-  r.stages = trace_stages(r.trace.get());
-  r.metrics = harvest_metrics(tb);
-  r.hashes = harvest_hashes(tb);
+  r.harvest(tb);
   // Unacceptable verdicts carry the top moving metrics, same as chaos.
   if (!r.acceptable()) r.report.telemetry = r.metrics->top_deltas;
   return r;

@@ -18,49 +18,22 @@
 #include "profile/blame.h"
 #include "profile/profiler.h"
 #include "stats/histogram.h"
-#include "trace/span.h"
 #include "trace/trace.h"
 
 namespace es2 {
 
 // ---------------------------------------------------------------------------
-// Event-path traces (shared by every runner)
+// Observations (shared by every runner)
 // ---------------------------------------------------------------------------
 
-/// Raw harvest from one traced run: the record snapshot plus the stitched
-/// per-I/O journeys and their stage-latency breakdown.
+/// Raw harvest from one traced run: the record snapshot. Stitch it with
+/// stitch_journeys() or attribute it with blame_of().
 struct TraceData {
   std::vector<TraceRecord> records;
-  std::vector<JourneySpan> spans;
-  SpanBreakdown breakdown;
 };
 
-/// Flattened stage-latency summary (ns) for experiment rows / CSV columns.
-struct TraceStages {
-  std::int64_t journeys = 0;
-  std::int64_t complete = 0;
-  std::int64_t kick_to_backend_p50 = 0;
-  std::int64_t kick_to_backend_p99 = 0;
-  std::int64_t backend_to_msi_p50 = 0;
-  std::int64_t backend_to_msi_p99 = 0;
-  std::int64_t msi_to_dispatch_p50 = 0;
-  std::int64_t msi_to_dispatch_p99 = 0;
-  std::int64_t dispatch_to_eoi_p50 = 0;
-  std::int64_t dispatch_to_eoi_p99 = 0;
-  std::int64_t end_to_end_p50 = 0;
-  std::int64_t end_to_end_p99 = 0;
-};
-
-/// Snapshots a testbed's tracer and stitches journeys. Null when the run
-/// was not traced. Call after the measured span, before teardown.
-std::shared_ptr<TraceData> harvest_trace(Testbed& tb);
-
-// ---------------------------------------------------------------------------
-// Telemetry (shared by every runner)
-// ---------------------------------------------------------------------------
-
-/// Final registry snapshot from one run, attached to result rows next to
-/// TraceStages. Self-contained: outlives the testbed.
+/// Final registry snapshot from one run. Self-contained: outlives the
+/// testbed.
 struct MetricsData {
   std::vector<MetricSample> samples;  // sorted by canonical key
   std::uint64_t sampler_frames = 0;   // time-series frames retained
@@ -75,16 +48,22 @@ struct MetricsData {
 /// Call after the measured span, before teardown. Never null.
 std::shared_ptr<MetricsData> harvest_metrics(Testbed& tb);
 
-/// Copies the testbed's epoch-hash series (the divergence-bisector input).
-/// Null unless the run set `snapshot.hash_epochs`. Call before teardown.
-std::shared_ptr<HashSeries> harvest_hashes(Testbed& tb);
+/// What the observers armed by a run's ObserveOptions saw. Every runner's
+/// result derives from this and fills it with one harvest() call after
+/// the measured span, before teardown.
+struct Observations {
+  /// Null unless the run was traced.
+  std::shared_ptr<TraceData> trace;
+  /// Span aggregates, scope tree and slice ring; null unless profiled.
+  std::shared_ptr<ProfileData> profile;
+  /// Final registry snapshot (never null after a run).
+  std::shared_ptr<MetricsData> metrics;
+  /// Epoch-hash series (the divergence-bisector input); null unless the
+  /// run hashed epochs.
+  std::shared_ptr<HashSeries> hashes;
 
-/// Stage summary of a harvested trace (all zeros for null / empty data).
-TraceStages trace_stages(const TraceData* data);
-
-/// Snapshots a testbed's profiler (span aggregates, scope tree, slice
-/// ring). Null when the run was not profiled. Call before teardown.
-std::shared_ptr<ProfileData> harvest_profile(Testbed& tb);
+  void harvest(Testbed& tb);
+};
 
 /// Critical-path blame over a harvested trace (empty breakdown for null
 /// or untraced data). The analyzer is offline; call it on result rows,
@@ -154,37 +133,18 @@ struct StreamOptions {
   std::uint64_t seed = 1;
   SimDuration warmup = msec(200);
   SimDuration measure = msec(800);
-  /// Event-path tracing for this run (off by default).
-  TraceOptions trace;
-  /// Scoped profiling for this run (off by default; passive when on).
-  ProfileOptions profile;
-  /// Registry sampling cadence (on by default; passive either way).
-  MetricsOptions metrics;
-  /// Epoch state-hashing (off by default; passive when on).
-  SnapshotOptions snapshot;
+  /// Passive observers (trace, profile, metrics, epoch hashes).
+  ObserveOptions observe;
 };
 
-struct StreamResult {
+struct StreamResult : Observations {
   ExitBreakdown exits;
   double throughput_mbps = 0;
   double packets_per_sec = 0;
   double kicks_per_sec = 0;       // guest kick instructions executed
   double guest_irqs_per_sec = 0;  // interrupts taken through the guest IDT
-  std::int64_t rx_dropped = 0;    // vhost RX ring overflow drops
-  std::int64_t link_dropped = 0;  // wire drops, both directions
-  /// Same drops broken out by canonical cause (rx_dropped ==
-  /// drops.sock_backlog, link_dropped == drops.wire; kept as flat fields
-  /// too so existing consumers read unchanged).
+  /// Wire and vhost RX-ring drops by canonical cause.
   DropCounts drops;
-  /// Null unless the run was traced.
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  /// Null unless the run was profiled.
-  std::shared_ptr<ProfileData> profile;
-  /// Final registry snapshot (never null after a run).
-  std::shared_ptr<MetricsData> metrics;
-  /// Null unless the run hashed epochs.
-  std::shared_ptr<HashSeries> hashes;
 };
 
 StreamResult run_stream(const StreamOptions& opts);
@@ -320,21 +280,13 @@ struct PingOptions {
   int samples = 120;
   SimDuration interval = msec(250);
   std::uint64_t seed = 1;
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
+  ObserveOptions observe;
 };
 
-struct PingResult {
+struct PingResult : Observations {
   Histogram rtt;                       // ns
   std::vector<SimDuration> samples;    // Fig. 7 is a time series
   std::int64_t lost = 0;
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 PingResult run_ping(const PingOptions& opts);
@@ -352,21 +304,13 @@ struct MemcachedOptions {
   std::uint64_t seed = 1;
   SimDuration warmup = msec(300);
   SimDuration measure = sec(1);
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
+  ObserveOptions observe;
 };
 
-struct MemcachedResult {
+struct MemcachedResult : Observations {
   double ops_per_sec = 0;
   double throughput_mbps = 0;  // response bytes
   Histogram latency;           // ns per op
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 MemcachedResult run_memcached(const MemcachedOptions& opts);
@@ -382,20 +326,12 @@ struct ApacheOptions {
   std::uint64_t seed = 1;
   SimDuration warmup = msec(300);
   SimDuration measure = sec(1);
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
+  ObserveOptions observe;
 };
 
-struct ApacheResult {
+struct ApacheResult : Observations {
   double requests_per_sec = 0;
   double throughput_mbps = 0;
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 ApacheResult run_apache(const ApacheOptions& opts);
@@ -405,22 +341,14 @@ struct HttperfOptions {
   double rate_per_sec = 1000;
   SimDuration duration = sec(3);
   std::uint64_t seed = 1;
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
+  ObserveOptions observe;
 };
 
-struct HttperfResult {
+struct HttperfResult : Observations {
   double avg_connect_ms = 0;
   double p99_connect_ms = 0;
   std::int64_t established = 0;
   std::int64_t retries = 0;
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 };
 
 HttperfResult run_httperf(const HttperfOptions& opts);
@@ -471,13 +399,10 @@ struct StormOptions {
     b.stall_tolerance = 8;
     return b;
   }();
-  TraceOptions trace;
-  ProfileOptions profile;
-  MetricsOptions metrics;
-  SnapshotOptions snapshot;
+  ObserveOptions observe;
 };
 
-struct StormResult {
+struct StormResult : Observations {
   // Client-side connection accounting (whole storm span).
   std::int64_t attempted = 0;
   std::int64_t established = 0;
@@ -512,11 +437,6 @@ struct StormResult {
   ScenarioReport report;
   bool livelocked = false;        // report.status == kLivelock
   bool livelock_expected = false; // copied from options
-  std::shared_ptr<TraceData> trace;
-  TraceStages stages;
-  std::shared_ptr<ProfileData> profile;
-  std::shared_ptr<MetricsData> metrics;
-  std::shared_ptr<HashSeries> hashes;
 
   /// The cell verdict: clean, or livelocked exactly when that was the
   /// point of the cell.

@@ -13,13 +13,13 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   ES2_CHECK(o.vhost_core >= 0 && o.vhost_core < o.host_cores);
 
   sim_ = std::make_unique<Simulator>(o.seed);
-  if (o.trace.enabled) {
-    tracer_ = std::make_unique<Tracer>(o.trace);
+  if (o.observe.trace.enabled) {
+    tracer_ = std::make_unique<Tracer>(o.observe.trace);
     tracer_->enable();
     sim_->set_tracer(tracer_.get());
   }
-  if (o.profile.enabled) {
-    profiler_ = std::make_unique<Profiler>(o.profile);
+  if (o.observe.profile.enabled) {
+    profiler_ = std::make_unique<Profiler>(o.observe.profile);
     profiler_->enable();
     sim_->set_profiler(profiler_.get());
   }
@@ -174,10 +174,10 @@ Testbed::Testbed(TestbedOptions options) : options_(std::move(options)) {
   }
 
   register_all_metrics();
-  if (o.metrics.enabled) {
+  if (o.observe.metrics.enabled) {
     SamplerOptions so;
-    so.period = o.metrics.sample_period;
-    so.ring_capacity = o.metrics.ring_capacity;
+    so.period = o.observe.metrics.sample_period;
+    so.ring_capacity = o.observe.metrics.ring_capacity;
     sampler_ = std::make_unique<MetricsSampler>(*sim_, registry_, so);
     snapshotter_.add("metrics.sampler", *sampler_);
   }
@@ -253,7 +253,7 @@ void Testbed::register_all_metrics() {
 
   // Epoch-hash position probes. Registered only when hashing is on, so a
   // hash-off registry snapshot is byte-identical to the pre-snapshot era.
-  if (options_.snapshot.hash_epochs) {
+  if (options_.observe.snapshot.hash_epochs) {
     registry_.probe("snapshot.epochs", [this] {
       return hash_log_ ? static_cast<double>(hash_log_->epochs()) : 0.0;
     });
@@ -275,11 +275,11 @@ Testbed::~Testbed() = default;
 void Testbed::start() {
   // The hash log freezes the component-name vector, so it is created here
   // — after workloads registered themselves — not in the constructor.
-  if (options_.snapshot.hash_epochs && hash_log_ == nullptr) {
-    hash_log_ = std::make_unique<EpochHashLog>(snapshotter_, options_.snapshot,
-                                               options_.seed);
+  if (options_.observe.snapshot.hash_epochs && hash_log_ == nullptr) {
+    hash_log_ = std::make_unique<EpochHashLog>(
+        snapshotter_, options_.observe.snapshot, options_.seed);
     hash_timer_ = std::make_unique<PeriodicTimer>(
-        *sim_, options_.snapshot.epoch,
+        *sim_, options_.observe.snapshot.epoch,
         [this] { hash_log_->record(sim_->now()); });
     hash_timer_->start();
   }

@@ -35,6 +35,25 @@
 
 namespace es2 {
 
+/// The passive observers one run can arm. None of them draws RNG numbers
+/// or perturbs the model, so any combination leaves results unchanged.
+struct ObserveOptions {
+  /// Event-path tracing: `trace.enabled` attaches a Tracer to the
+  /// simulator. Off by default.
+  TraceOptions trace;
+  /// Scoped profiling: `profile.enabled` attaches a Profiler to the
+  /// simulator. Off by default.
+  ProfileOptions profile;
+  /// Unified telemetry. Instruments register across every layer either
+  /// way; `metrics.enabled` (the default) additionally runs a
+  /// MetricsSampler on a deterministic in-sim cadence.
+  MetricsOptions metrics;
+  /// Epoch state-hashing: `snapshot.hash_epochs` arms a periodic FNV
+  /// digest of every registered component (the determinism oracle behind
+  /// `tools/divergence_bisect`). Off by default.
+  SnapshotOptions snapshot;
+};
+
 struct TestbedOptions {
   Es2Config config;
   std::uint64_t seed = 1;
@@ -69,25 +88,9 @@ struct TestbedOptions {
   /// Run the invariant auditor over the tested VM's event path.
   bool audit = false;
   SimDuration audit_period = msec(1);
-  /// Event-path tracing. `trace.enabled` builds a Tracer and attaches it
-  /// to the simulator; hooks only emit when the build also compiled them
-  /// in (-DES2_TRACE=ON). Off by default: zero records, zero overhead.
-  TraceOptions trace;
-  /// Scoped profiling. `profile.enabled` builds a Profiler and attaches
-  /// it to the simulator; scopes only record when the build also compiled
-  /// the call sites in (-DES2_PROFILE=ON). Passive either way: profiled
-  /// runs leave golden outputs bit-identical.
-  ProfileOptions profile;
-  /// Unified telemetry. Instruments register across every layer either
-  /// way; `metrics.enabled` additionally runs a MetricsSampler on a
-  /// deterministic in-sim cadence. Sampling is passive: on-vs-off leaves
+  /// Passive observers: traced, profiled, sampled or hashed runs leave
   /// golden outputs bit-identical.
-  MetricsOptions metrics;
-  /// Epoch state-hashing. `snapshot.hash_epochs` arms a periodic FNV
-  /// digest of every registered component (the determinism oracle behind
-  /// `tools/divergence_bisect`). Hashing is passive: on-vs-off leaves
-  /// golden outputs bit-identical.
-  SnapshotOptions snapshot;
+  ObserveOptions observe;
 };
 
 class Testbed {
@@ -119,15 +122,15 @@ class Testbed {
   /// livelock episodes both report here); null unless the fault plan arms
   /// a lifecycle mode or guest_params.overload_mitigation is set.
   RecoveryLog* recovery_log() { return recovery_log_.get(); }
-  /// Null unless options.trace.enabled.
+  /// Null unless options.observe.trace.enabled.
   Tracer* tracer() { return tracer_.get(); }
-  /// Null unless options.profile.enabled.
+  /// Null unless options.observe.profile.enabled.
   Profiler* profiler() { return profiler_.get(); }
 
   /// The unified registry; every layer's instruments live here.
   MetricsRegistry& metrics() { return registry_; }
   const MetricsRegistry& metrics() const { return registry_; }
-  /// Null unless options.metrics.enabled; started by start().
+  /// Null unless options.observe.metrics.enabled; started by start().
   MetricsSampler* sampler() { return sampler_.get(); }
 
   /// The world snapshot registry: every stateful component under a stable
@@ -135,8 +138,8 @@ class Testbed {
   /// attach (before start(), so epoch hashes and snapshots cover them).
   WorldSnapshotter& snapshotter() { return snapshotter_; }
   const WorldSnapshotter& snapshotter() const { return snapshotter_; }
-  /// Null unless options.snapshot.hash_epochs; created by start() (after
-  /// workloads have registered, so the component set is complete).
+  /// Null unless options.observe.snapshot.hash_epochs; created by start()
+  /// (after workloads have registered, so the component set is complete).
   EpochHashLog* hash_log() { return hash_log_.get(); }
 
   /// Starts every VM (vCPUs + guest timers).

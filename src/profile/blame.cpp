@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "base/strings.h"
+#include "trace/journey.h"
 
 namespace es2 {
 
@@ -17,27 +18,6 @@ std::uint32_t thread_tag(const std::string& name) {
   std::uint32_t h = 2166136261u;
   for (char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
   return h;
-}
-
-// Working landmarks for one journey (first occurrence, as in span.cpp),
-// plus the blame-specific extras: the origin's queue/direction and the
-// first in-journey interrupt-suppression decision.
-struct Landmarks {
-  std::uint64_t corr = 0;
-  std::int8_t vm = -1;
-  std::int8_t vcpu = -1;
-  std::int16_t queue = -1;
-  bool tx_origin = false;
-  SimTime origin = -1;
-  SimTime backend = -1;
-  SimTime suppressed = -1;
-  SimTime msi = -1;
-  SimTime dispatch = -1;
-  SimTime eoi = -1;
-};
-
-void note(SimTime& landmark, SimTime t) {
-  if (landmark < 0) landmark = t;
 }
 
 /// First value in sorted `v` within [lo, hi], or -1.
@@ -94,13 +74,12 @@ double BlameBreakdown::fraction(BlameComponent c) const {
 
 BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
                              const BlameOptions& options) {
-  // Pass 1: landmarks per journey, plus the global time series the
-  // attribution cuts against (worker wakes, worker sched-ins, per-vcpu
-  // sched-ins). Records arrive oldest-first from Tracer::snapshot(), so
-  // the series come out sorted; sort defensively anyway.
-  std::vector<Landmarks> journeys;
-  std::unordered_map<std::uint64_t, std::size_t> by_corr;
-  by_corr.reserve(records.size() / 4 + 1);
+  // Pass 1: landmarks per journey (the shared stitcher), plus the global
+  // time series the attribution cuts against (worker wakes, worker
+  // sched-ins, per-vcpu sched-ins). Records arrive oldest-first from
+  // Tracer::snapshot(), so the series come out sorted; sort defensively
+  // anyway.
+  const std::vector<Journey> journeys = stitch_journeys(records);
 
   std::unordered_set<std::uint32_t> worker_tags;
   for (const std::string& name : options.worker_threads) {
@@ -123,62 +102,12 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
     if (r.kind == TraceKind::kWorkerTurn) turns.push_back(r.t);
     if (r.kind == TraceKind::kWorkerWake) {
       wakes.push_back(r.t);
-      continue;
-    }
-    if (r.kind == TraceKind::kSchedIn) {
+    } else if (r.kind == TraceKind::kSchedIn) {
       if (worker_tags.count(r.arg) != 0) {
         worker_sched_in.push_back(r.t);
       } else if (auto it = vcpu_tags.find(r.arg); it != vcpu_tags.end()) {
         vcpu_sched_in[it->second].push_back(r.t);
       }
-      continue;
-    }
-    if (r.corr == 0) continue;
-    auto [it, inserted] = by_corr.try_emplace(r.corr, journeys.size());
-    if (inserted) {
-      journeys.emplace_back();
-      journeys.back().corr = r.corr;
-    }
-    Landmarks& j = journeys[it->second];
-    if (j.vm < 0 && r.vm >= 0) j.vm = r.vm;
-    if (j.vcpu < 0 && r.vcpu >= 0) j.vcpu = r.vcpu;
-    switch (r.kind) {
-      case TraceKind::kKick:
-        if (j.origin < 0) {
-          j.origin = r.t;
-          j.queue = static_cast<std::int16_t>(r.arg);
-          j.tx_origin = (r.arg % 2) == 0;
-        }
-        break;
-      case TraceKind::kWireRx:
-        if (j.origin < 0) {
-          j.origin = r.t;
-          // kWireRx carries the pair index; the serviced queue is that
-          // pair's RX queue.
-          j.queue = static_cast<std::int16_t>(2 * r.arg + 1);
-          j.tx_origin = false;
-        }
-        break;
-      case TraceKind::kWorkerTurn:
-        note(j.backend, r.t);
-        if (j.queue < 0) j.queue = static_cast<std::int16_t>(r.arg);
-        break;
-      case TraceKind::kIrqSuppressed:
-        note(j.suppressed, r.t);
-        break;
-      case TraceKind::kMsiRaise:
-      case TraceKind::kPiPost:
-      case TraceKind::kLapicPost:
-        note(j.msi, r.t);
-        break;
-      case TraceKind::kIrqDispatch:
-        note(j.dispatch, r.t);
-        break;
-      case TraceKind::kEoi:
-        note(j.eoi, r.t);
-        break;
-      default:
-        break;
     }
   }
   std::sort(wakes.begin(), wakes.end());
@@ -195,7 +124,7 @@ BlameBreakdown analyze_blame(const std::vector<TraceRecord>& records,
   attributed.reserve(journeys.size());
   std::unordered_map<std::uint32_t, std::size_t> group_index;
 
-  for (const Landmarks& j : journeys) {
+  for (const Journey& j : journeys) {
     // Journeys without an I/O origin are intentionally skipped: timer and
     // IPI deliveries mint their own corr at the router, so they show up
     // here with post/dispatch/eoi but no kick/wire_rx — they are not part

@@ -1,11 +1,10 @@
 // Critical-path latency attribution ("blame") over event-path traces.
 //
-// The PR 3 span builder reduces a journey to landmark timestamps and
-// reports per-stage p50/p99 — it can say a journey was slow between kick
-// and backend turn, but not *why*. The blame analyzer goes one level
-// deeper: it partitions every complete kick→backend→MSI→dispatch→EOI
-// journey into consecutive integer-nanosecond segments, each attributed
-// to a named component of the virtual I/O event path:
+// The journey stitcher (trace/journey.h) reduces a journey to landmark
+// timestamps; the blame analyzer explains the gaps between them: it
+// partitions every complete kick→backend→MSI→dispatch→EOI journey into
+// consecutive integer-nanosecond segments, each attributed to a named
+// component of the virtual I/O event path:
 //
 //   notify_wake      kick/wire arrival -> vhost worker activation
 //   sched_delay      worker activation -> worker thread on-core (CFS)
@@ -27,8 +26,8 @@
 // histograms for distribution shape and a worst-journeys ledger that
 // keeps the full cut sequence of any journey beyond k×p99.
 //
-// Like the span builder this is an offline pass over a record snapshot —
-// nothing here runs on the simulation hot path.
+// This is an offline pass over a record snapshot — nothing here runs on
+// the simulation hot path.
 #pragma once
 
 #include <array>

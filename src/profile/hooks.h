@@ -1,27 +1,12 @@
-// Compile-time gate for the hot-path profiler instrumentation.
+// The hot-path profiler probe, the twin of trace/hooks.h:
 //
-// Mirrors trace/hooks.h: the profile *library* (Profiler, blame analyzer,
-// exporters) is always built and unit tested; only the scope/span call
-// sites threaded through the model layers are conditional. The build
-// defines ES2_PROFILE_ENABLED=1 when configured with -DES2_PROFILE=ON;
-// otherwise this header pins it to 0 and every call site wrapped in
-// `#if ES2_PROFILE_ENABLED` vanishes — the default build's event path
-// carries zero profiling instructions and goldens stay bit-identical.
+//   if (Profiler* pf = active_profiler(sim)) {
+//     pf->span_begin(ProfComp::kVhostTurnTx, q, sim.now());
+//   }
 //
-// Call-site pattern:
-//
-//   #if ES2_PROFILE_ENABLED
-//     if (Profiler* pf = active_profiler(sim)) {
-//       pf->span_begin(ProfComp::kVhostTurnTx, q, sim.now());
-//     }
-//   #endif
+// One load and one branch when no profiler is attached or enabled.
+// Profiling is passive: profiled runs leave golden outputs bit-identical.
 #pragma once
-
-#ifndef ES2_PROFILE_ENABLED
-#define ES2_PROFILE_ENABLED 0
-#endif
-
-#if ES2_PROFILE_ENABLED
 
 #include "profile/profiler.h"
 #include "sim/simulator.h"
@@ -35,5 +20,3 @@ inline Profiler* active_profiler(Simulator& sim) {
 }
 
 }  // namespace es2
-
-#endif  // ES2_PROFILE_ENABLED

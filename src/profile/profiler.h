@@ -27,9 +27,8 @@
 // and the slice ring — the steady-state record paths perform zero heap
 // allocations (asserted via es2_alloc_hook).
 //
-// Like the tracer, the *library* is always built; the model-layer call
-// sites compile away unless the build sets -DES2_PROFILE=ON (see
-// profile/hooks.h).
+// Like the tracer's, the model-layer call sites (profile/hooks.h) are
+// always compiled in and cost one branch while no profiler is enabled.
 #pragma once
 
 #include <chrono>

@@ -25,10 +25,10 @@ int lane_tid(const TraceRecord& r) { return r.vcpu < 0 ? 0 : r.vcpu + 1; }
 }  // namespace
 
 std::string to_perfetto_json(const std::vector<TraceRecord>& records,
-                             const std::vector<JourneySpan>& spans,
+                             const std::vector<Journey>& journeys,
                              const std::vector<PerfettoSlice>& extra_slices) {
   std::string out;
-  out.reserve(records.size() * 120 + spans.size() * 160 +
+  out.reserve(records.size() * 120 + journeys.size() * 160 +
               extra_slices.size() * 110 + 64);
   out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
@@ -43,20 +43,21 @@ std::string to_perfetto_json(const std::vector<TraceRecord>& records,
         static_cast<unsigned>(r.arg),
         static_cast<unsigned long long>(r.corr), static_cast<int>(r.cpu));
   }
-  for (const JourneySpan& s : spans) {
-    const SimTime start = s.start();
-    if (start < 0 || s.eoi < start) continue;  // incomplete: no bar to draw
-    const int pid = s.vm < 0 ? 0 : s.vm + 1;
-    const unsigned long long id = static_cast<unsigned long long>(s.corr);
+  for (const Journey& j : journeys) {
+    const SimTime start = j.start();
+    if (start < 0 || j.eoi < start) continue;  // incomplete: no bar to draw
+    const int pid = j.vm < 0 ? 0 : j.vm + 1;
+    const int tid = j.vcpu < 0 ? 0 : j.vcpu + 1;
+    const unsigned long long id = static_cast<unsigned long long>(j.corr);
     out += format(
         ",{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"b\","
         "\"id\":%llu,\"ts\":%s,\"pid\":%d,\"tid\":%d,"
         "\"args\":{\"corr\":%llu}}",
-        id, ts_us(start).c_str(), pid, s.vcpu < 0 ? 0 : s.vcpu + 1, id);
+        id, ts_us(start).c_str(), pid, tid, id);
     out += format(
         ",{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"e\","
         "\"id\":%llu,\"ts\":%s,\"pid\":%d,\"tid\":%d}",
-        id, ts_us(s.eoi).c_str(), pid, s.vcpu < 0 ? 0 : s.vcpu + 1);
+        id, ts_us(j.eoi).c_str(), pid, tid);
   }
   // Profiler scopes land on their own pid so they group as one "process"
   // under the journey lanes in the Perfetto UI.

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/span.h"
+#include "trace/journey.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -29,12 +29,13 @@ struct PerfettoSlice {
   SimTime end = 0;
 };
 
-/// Chrome trace-event JSON ("traceEvents" array). `spans` adds async
-/// journey bars on top of the instant records; pass an empty vector to
-/// export records only. `extra_slices` appends duration events from
-/// outside the tracer (profiler component scopes).
+/// Chrome trace-event JSON ("traceEvents" array). `journeys` adds async
+/// bars on top of the instant records, one per journey that reached its
+/// EOI; pass an empty vector to export records only. `extra_slices`
+/// appends duration events from outside the tracer (profiler component
+/// scopes).
 std::string to_perfetto_json(const std::vector<TraceRecord>& records,
-                             const std::vector<JourneySpan>& spans = {},
+                             const std::vector<Journey>& journeys = {},
                              const std::vector<PerfettoSlice>& extra_slices = {});
 
 /// Compact binary form: "ES2T" magic, u32 version, u64 record count, then

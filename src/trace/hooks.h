@@ -1,27 +1,13 @@
-// Compile-time gate for the hot-path trace instrumentation.
+// The hot-path trace probe. Model layers call
 //
-// The trace *library* (Tracer, spans, exporters) is always built and unit
-// tested; only the emit call sites threaded through the model layers are
-// conditional. The build defines ES2_TRACE_ENABLED=1 when configured with
-// -DES2_TRACE=ON; otherwise this header pins it to 0 and every call site
-// wrapped in `#if ES2_TRACE_ENABLED` vanishes, so the default build's
-// event path carries zero tracing instructions and goldens stay
-// bit-identical.
+//   if (Tracer* tr = active_tracer(sim)) {
+//     tr->emit(sim.now(), TraceKind::kKick, vm, vcpu, cpu, arg, corr);
+//   }
 //
-// Call-site pattern:
-//
-//   #if ES2_TRACE_ENABLED
-//     if (Tracer* tr = active_tracer(sim)) {
-//       tr->emit(sim.now(), TraceKind::kKick, vm, vcpu, cpu, arg, corr);
-//     }
-//   #endif
+// which costs one load and one branch when no tracer is attached or the
+// attached one is disabled. Tracing is passive either way: no RNG draws,
+// no scheduled events, so traced runs leave golden outputs bit-identical.
 #pragma once
-
-#ifndef ES2_TRACE_ENABLED
-#define ES2_TRACE_ENABLED 0
-#endif
-
-#if ES2_TRACE_ENABLED
 
 #include "sim/simulator.h"
 #include "trace/trace.h"
@@ -35,5 +21,3 @@ inline Tracer* active_tracer(Simulator& sim) {
 }
 
 }  // namespace es2
-
-#endif  // ES2_TRACE_ENABLED

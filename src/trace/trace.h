@@ -11,10 +11,8 @@
 //
 // Tracing is passive by design: a Tracer draws no RNG numbers, schedules
 // no events and never touches model state, so enabling it cannot perturb
-// a run (asserted by tests). The hot-path instrumentation call sites are
-// additionally compiled out unless the build sets `ES2_TRACE` (see
-// trace/hooks.h), keeping the default build's goldens bit-identical at
-// zero instruction cost.
+// a run (asserted by tests). The hot-path call sites (trace/hooks.h) are
+// always compiled in and cost one branch while no tracer is enabled.
 //
 // Correlation ids stitch one I/O request's journey across the async
 // layers. The id is minted at the journey's origin (guest kick / wire

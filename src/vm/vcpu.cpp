@@ -10,13 +10,11 @@
 
 namespace es2 {
 
-#if ES2_TRACE_ENABLED
 namespace {
 int core_of(const SimThread& thread) {
   return thread.core() != nullptr ? thread.core()->id() : -1;
 }
 }  // namespace
-#endif
 
 Vcpu::Vcpu(Vm& vm, int index, int pinned_core)
     : vm_(vm),
@@ -90,15 +88,11 @@ void Vcpu::vm_exit(ExitReason cause, Cycles handle_cost,
   ES2_CHECK_MSG(mode_ == Mode::kGuest, "vm_exit while already in host mode");
   mode_ = Mode::kHost;
   stats_.record_exit(cause);
-#if ES2_PROFILE_ENABLED
   Profiler::Scope prof_scope(active_profiler(sim_), ProfComp::kVcpuExit);
-#endif
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(sim_)) {
     tr->emit(sim_.now(), TraceKind::kVmExit, vm_.id(), index_,
              core_of(thread_), static_cast<std::uint32_t>(cause));
   }
-#endif
   const CostModel& c = vm_.host().costs();
   host_exec(c.exit_transition + handle_cost, std::move(then));
 }
@@ -119,24 +113,20 @@ void Vcpu::vm_entry() {
     if (inject >= 0) entry_cost += costs.inject_interrupt;
   }
 
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(sim_)) {
     tr->emit(sim_.now(), TraceKind::kVmEntry, vm_.id(), index_,
              core_of(thread_),
              inject >= 0 ? static_cast<std::uint32_t>(inject) : 0xffffffffu,
              inject >= 0 ? tr->vector_corr(vm_.id(), index_, inject) : 0);
   }
-#endif
   host_exec(entry_cost, [this, inject] {
     mode_ = Mode::kGuest;
     if (inject >= 0) {
-#if ES2_TRACE_ENABLED
       if (Tracer* tr = active_tracer(sim_)) {
         tr->emit(sim_.now(), TraceKind::kIrqInject, vm_.id(), index_,
                  core_of(thread_), static_cast<std::uint32_t>(inject),
                  tr->vector_corr(vm_.id(), index_, inject));
       }
-#endif
       lapic_.begin_service(static_cast<Vector>(inject));
       dispatch_irq(static_cast<Vector>(inject));
       return;
@@ -155,7 +145,6 @@ void Vcpu::vm_entry() {
 void Vcpu::dispatch_irq(Vector vector) {
   ES2_CHECK(mode_ == Mode::kGuest);
   ++irqs_taken_;
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(sim_)) {
     // Consume the pending-delivery entry and open an in-service frame; the
     // matching EOI pops it (nested interrupts stack).
@@ -164,8 +153,6 @@ void Vcpu::dispatch_irq(Vector vector) {
     tr->emit(sim_.now(), TraceKind::kIrqDispatch, vm_.id(), index_,
              core_of(thread_), vector, corr);
   }
-#endif
-#if ES2_PROFILE_ENABLED
   // dispatch -> EOI is this vcpu's interrupt-service span (nested
   // interrupts fold into the outer span; the begin-on-open counts as
   // dropped rather than opening a second slot).
@@ -173,7 +160,6 @@ void Vcpu::dispatch_irq(Vector vector) {
     pf->span_begin(ProfComp::kGuestIrqService,
                    static_cast<unsigned>(vm_.id() * 16 + index_), sim_.now());
   }
-#endif
   const CostModel& c = vm_.host().costs();
   guest_exec(c.guest_irq_dispatch,
              [this, vector] { vm_.guest().take_interrupt(index_, vector); });
@@ -198,20 +184,16 @@ void Vcpu::guest_io_kick(Continuation notify, Continuation done) {
 }
 
 void Vcpu::guest_eoi(Continuation done) {
-#if ES2_PROFILE_ENABLED
   if (Profiler* pf = active_profiler(sim_)) {
     pf->span_end(ProfComp::kGuestIrqService,
                  static_cast<unsigned>(vm_.id() * 16 + index_), sim_.now());
   }
-#endif
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(sim_)) {
     // The EOI write closes the innermost in-service frame, whichever
     // mechanism (trap or virtual EOI) retires it below.
     tr->emit(sim_.now(), TraceKind::kEoi, vm_.id(), index_, core_of(thread_),
              0, tr->pop_service(vm_.id(), index_));
   }
-#endif
   const CostModel& c = vm_.host().costs();
   if (exitless_irqs()) {
     // PI: exit-less virtual EOI (paper Fig. 2 step 5); ELI: the physical
@@ -275,7 +257,6 @@ bool Vcpu::interrupt_pending() const {
 }
 
 void Vcpu::deliver_interrupt(Vector vector) {
-#if ES2_TRACE_ENABLED
   std::uint64_t corr = 0;
   if (Tracer* tr = active_tracer(sim_)) {
     // Adopt the journey of the MSI being delivered (set by the backend
@@ -285,7 +266,6 @@ void Vcpu::deliver_interrupt(Vector vector) {
     if (corr == 0) corr = tr->begin_journey();
     tr->remember_vector(vm_.id(), index_, vector, corr);
   }
-#endif
   if (vm_.irq_mode() == InterruptVirtMode::kExitlessDirect) {
     // ELI/DID-style deprivileging (§II-C): the physical Local-APIC delivers
     // straight through the guest IDT when the vCPU occupies its core —
@@ -295,12 +275,10 @@ void Vcpu::deliver_interrupt(Vector vector) {
     // whoever holds the core meanwhile is exposed to misdelivery /
     // interruptibility loss — the reason ELI requires dedicated cores.
     vapic_.pi().post(vector);  // reuse the bitmap as the physical IRR
-#if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(sim_)) {
       tr->emit(sim_.now(), TraceKind::kPiPost, vm_.id(), index_,
                core_of(thread_), vector, corr);
     }
-#endif
     if (thread_.running() && mode_ == Mode::kGuest) {
       suspend_guest_activity();
       const CostModel& c = vm_.host().costs();
@@ -332,13 +310,11 @@ void Vcpu::deliver_interrupt(Vector vector) {
 
   if (vm_.irq_mode() == InterruptVirtMode::kPostedInterrupt) {
     const bool need_notification = vapic_.pi().post(vector);
-#if ES2_TRACE_ENABLED
     if (Tracer* tr = active_tracer(sim_)) {
       tr->emit(sim_.now(),
                need_notification ? TraceKind::kPiPost : TraceKind::kPiCoalesced,
                vm_.id(), index_, core_of(thread_), vector, corr);
     }
-#endif
     if (!need_notification) return;  // coalesced by the ON bit
 
     if (thread_.running() && mode_ == Mode::kGuest) {
@@ -368,12 +344,10 @@ void Vcpu::deliver_interrupt(Vector vector) {
 
   // Baseline: software-emulated LAPIC.
   lapic_.post(vector);
-#if ES2_TRACE_ENABLED
   if (Tracer* tr = active_tracer(sim_)) {
     tr->emit(sim_.now(), TraceKind::kLapicPost, vm_.id(), index_,
              core_of(thread_), vector, corr);
   }
-#endif
   if (thread_.running() && mode_ == Mode::kGuest) {
     // The emulated LAPIC cannot touch a running guest: it kicks the vCPU
     // with an IPI, forcing an EXTERNAL_INTERRUPT exit, and injects during

@@ -393,7 +393,7 @@ TEST(ChaosStream, FaultsOffMatchesPlainRunStreamExactly) {
   EXPECT_DOUBLE_EQ(chaos.stream.throughput_mbps, plain.throughput_mbps);
   EXPECT_DOUBLE_EQ(chaos.stream.packets_per_sec, plain.packets_per_sec);
   EXPECT_DOUBLE_EQ(chaos.stream.kicks_per_sec, plain.kicks_per_sec);
-  EXPECT_EQ(chaos.stream.link_dropped, 0);
+  EXPECT_EQ(chaos.stream.drops.wire, 0);
   EXPECT_EQ(chaos.fast_retransmits, 0);
   EXPECT_EQ(chaos.tx_watchdog_kicks, 0);
   EXPECT_EQ(chaos.rx_repolls, 0);
@@ -414,7 +414,7 @@ TEST(ChaosStream, OnePercentLossCompletesOnAllFourStacks) {
     const ChaosStreamResult r = run_chaos_stream(co, config.name());
     EXPECT_EQ(r.report.status, ScenarioStatus::kOk) << config.name();
     EXPECT_GT(r.stream.throughput_mbps, 0.0) << config.name();
-    EXPECT_GT(r.stream.link_dropped, 0) << config.name();
+    EXPECT_GT(r.stream.drops.wire, 0) << config.name();
     EXPECT_EQ(r.audit_violations, 0) << config.name();
   }
 }
@@ -491,7 +491,7 @@ TEST(ChaosStream, SameSeedSamePlanIsDeterministic) {
   const ChaosStreamResult a = run_chaos_stream(co, "det");
   const ChaosStreamResult b = run_chaos_stream(co, "det");
   EXPECT_DOUBLE_EQ(a.stream.throughput_mbps, b.stream.throughput_mbps);
-  EXPECT_EQ(a.stream.link_dropped, b.stream.link_dropped);
+  EXPECT_EQ(a.stream.drops.wire, b.stream.drops.wire);
   EXPECT_EQ(a.faults.kicks_delayed, b.faults.kicks_delayed);
   EXPECT_EQ(a.fast_retransmits, b.fast_retransmits);
 }

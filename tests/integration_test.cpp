@@ -186,7 +186,7 @@ TEST(Integration, NoPacketLossInMicroWorlds) {
   for (const bool sends : {true, false}) {
     const StreamResult r =
         run_stream(quick_stream(Es2Config::pi_h_r(), Proto::kTcp, sends));
-    EXPECT_EQ(r.rx_dropped, 0) << (sends ? "send" : "recv");
+    EXPECT_EQ(r.drops.sock_backlog, 0) << (sends ? "send" : "recv");
   }
 }
 

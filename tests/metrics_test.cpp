@@ -187,14 +187,14 @@ TEST(MetricsSampler, SamplingIsPassive) {
   o.config = Es2Config::pi();
   o.warmup = msec(50);
   o.measure = msec(150);
-  o.metrics.enabled = true;
+  o.observe.metrics.enabled = true;
   const StreamResult on = run_stream(o);
-  o.metrics.enabled = false;
+  o.observe.metrics.enabled = false;
   const StreamResult off = run_stream(o);
   EXPECT_DOUBLE_EQ(on.throughput_mbps, off.throughput_mbps);
   EXPECT_DOUBLE_EQ(on.packets_per_sec, off.packets_per_sec);
   EXPECT_DOUBLE_EQ(on.exits.total, off.exits.total);
-  EXPECT_EQ(on.rx_dropped, off.rx_dropped);
+  EXPECT_EQ(on.drops.sock_backlog, off.drops.sock_backlog);
   // The metrics-off run still harvests a final snapshot (registry is
   // always populated); only the time series differs.
   ASSERT_NE(off.metrics, nullptr);

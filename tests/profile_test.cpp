@@ -4,10 +4,6 @@
 // the zero-alloc scoped profiler (span aggregation, slice ring, scope
 // tree, allocation guarantee via es2_alloc_hook), and — against real
 // streams — the passivity contract: profiling a run must not change it.
-//
-// The analyzer/profiler units run in every build; the end-to-end cases
-// need the instrumentation call sites and skip without -DES2_TRACE=ON /
-// -DES2_PROFILE=ON.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -387,10 +383,10 @@ TEST(ProfilePath, ProfilingIsPassive) {
   // on every headline number AND on the epoch state-hash series (the
   // bit-identity witness for the whole world).
   StreamOptions profiled = short_stream(41);
-  profiled.profile.enabled = true;
-  profiled.snapshot.hash_epochs = true;
+  profiled.observe.profile.enabled = true;
+  profiled.observe.snapshot.hash_epochs = true;
   StreamOptions plain = short_stream(41);
-  plain.snapshot.hash_epochs = true;
+  plain.observe.snapshot.hash_epochs = true;
 
   const StreamResult with = run_stream(profiled);
   const StreamResult without = run_stream(plain);
@@ -406,11 +402,8 @@ TEST(ProfilePath, ProfilingIsPassive) {
 }
 
 TEST(ProfilePath, SameSeedProfileExportsAreByteIdentical) {
-#if !ES2_PROFILE_ENABLED
-  GTEST_SKIP() << "needs -DES2_PROFILE=ON";
-#else
   StreamOptions o = short_stream(42);
-  o.profile.enabled = true;
+  o.observe.profile.enabled = true;
   const StreamResult a = run_stream(o);
   const StreamResult b = run_stream(o);
   ASSERT_NE(a.profile, nullptr);
@@ -419,16 +412,12 @@ TEST(ProfilePath, SameSeedProfileExportsAreByteIdentical) {
   EXPECT_EQ(prof_to_json_text(*a.profile), prof_to_json_text(*b.profile));
   EXPECT_EQ(prof_to_collapsed(*a.profile, CollapsedWeight::kSimNs),
             prof_to_collapsed(*b.profile, CollapsedWeight::kSimNs));
-#endif
 }
 
 TEST(ProfilePath, SameSeedBlameExportsAreByteIdentical) {
-#if !ES2_TRACE_ENABLED
-  GTEST_SKIP() << "needs -DES2_TRACE=ON";
-#else
   StreamOptions o = short_stream(43);
-  o.trace.enabled = true;
-  o.trace.capacity = std::size_t{1} << 17;
+  o.observe.trace.enabled = true;
+  o.observe.trace.capacity = std::size_t{1} << 17;
   const StreamResult a = run_stream(o);
   const StreamResult b = run_stream(o);
   const BlameBreakdown ba = blame_of(a.trace.get());
@@ -440,16 +429,12 @@ TEST(ProfilePath, SameSeedBlameExportsAreByteIdentical) {
     EXPECT_EQ(blame_critical_path(ba.worst[i]),
               blame_critical_path(bb.worst[i]));
   }
-#endif
 }
 
 TEST(ProfilePath, BlameFractionsSumToTracedJourneyTotals) {
-#if !ES2_TRACE_ENABLED
-  GTEST_SKIP() << "needs -DES2_TRACE=ON";
-#else
   StreamOptions o = short_stream(44);
-  o.trace.enabled = true;
-  o.trace.capacity = std::size_t{1} << 17;
+  o.observe.trace.enabled = true;
+  o.observe.trace.capacity = std::size_t{1} << 17;
   const StreamResult r = run_stream(o);
   const BlameBreakdown b = blame_of(r.trace.get());
   ASSERT_GT(b.complete, 0);
@@ -467,15 +452,11 @@ TEST(ProfilePath, BlameFractionsSumToTracedJourneyTotals) {
     for (std::size_t c = 0; c < kBlameComponents; ++c) gsum += g.ns[c];
     EXPECT_EQ(gsum, g.total);
   }
-#endif
 }
 
 TEST(ProfilePath, ProfiledStreamRecordsVhostSpans) {
-#if !ES2_PROFILE_ENABLED
-  GTEST_SKIP() << "needs -DES2_PROFILE=ON";
-#else
   StreamOptions o = short_stream(45);
-  o.profile.enabled = true;
+  o.observe.profile.enabled = true;
   const StreamResult r = run_stream(o);
   ASSERT_NE(r.profile, nullptr);
   bool saw_turn = false;
@@ -489,7 +470,6 @@ TEST(ProfilePath, ProfiledStreamRecordsVhostSpans) {
   }
   EXPECT_TRUE(saw_turn);
   EXPECT_TRUE(saw_guest);
-#endif
 }
 
 }  // namespace

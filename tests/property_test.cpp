@@ -30,7 +30,7 @@ TEST_P(ConservationProperty, NothingLostNothingInvented) {
   o.measure = msec(200);
   const StreamResult r = run_stream(o);
   EXPECT_GT(r.packets_per_sec, 1000.0);
-  EXPECT_EQ(r.rx_dropped, 0);
+  EXPECT_EQ(r.drops.sock_backlog, 0);
   // Rates are finite and sane.
   EXPECT_LT(r.packets_per_sec, 1e7);
   EXPECT_GE(r.exits.tig_percent, 0.0);

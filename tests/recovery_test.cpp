@@ -471,7 +471,7 @@ TEST(RecoveryDeterminism, FaultsOffHashSeriesIsReproducibleWithMachineryBuilt) {
   o.config = Es2Config::pi_h_r();
   o.warmup = msec(50);
   o.measure = msec(200);
-  o.snapshot.hash_epochs = true;
+  o.observe.snapshot.hash_epochs = true;
   const StreamResult a = run_stream(o);
   const StreamResult b = run_stream(o);
   ASSERT_NE(a.hashes, nullptr);
@@ -488,7 +488,7 @@ TEST(RecoveryDeterminism, SameSeedRecoveryRunsProduceIdenticalLedgers) {
   o.chaos.stream.measure = msec(400);
   o.chaos.faults.handler_wedge_period = msec(89);
   o.chaos.faults.worker_crash_period = msec(113);
-  o.chaos.stream.snapshot.hash_epochs = true;
+  o.chaos.stream.observe.snapshot.hash_epochs = true;
   const RecoveryStreamResult a = run_recovery_stream(o);
   const RecoveryStreamResult b = run_recovery_stream(o);
   EXPECT_GT(a.injected, 0);

@@ -502,8 +502,8 @@ void expect_identical(const StreamResult& split, const StreamResult& packed) {
   EXPECT_EQ(split.packets_per_sec, packed.packets_per_sec);
   EXPECT_EQ(split.kicks_per_sec, packed.kicks_per_sec);
   EXPECT_EQ(split.guest_irqs_per_sec, packed.guest_irqs_per_sec);
-  EXPECT_EQ(split.rx_dropped, packed.rx_dropped);
-  EXPECT_EQ(split.link_dropped, packed.link_dropped);
+  EXPECT_EQ(split.drops.sock_backlog, packed.drops.sock_backlog);
+  EXPECT_EQ(split.drops.wire, packed.drops.wire);
   EXPECT_EQ(split.exits.total, packed.exits.total);
   EXPECT_GT(split.packets_per_sec, 0.0);
 }
@@ -528,8 +528,8 @@ TEST(DataplaneConformance, SameSeedHashSeriesRepeatPerLayout) {
   for (const RingLayout layout : {RingLayout::kSplit, RingLayout::kPacked}) {
     SCOPED_TRACE(layout == RingLayout::kSplit ? "split" : "packed");
     StreamOptions o = dataplane_stream(layout);
-    o.snapshot.hash_epochs = true;
-    o.snapshot.epoch = msec(10);
+    o.observe.snapshot.hash_epochs = true;
+    o.observe.snapshot.epoch = msec(10);
     const StreamResult a = run_stream(o);
     const StreamResult b = run_stream(o);
     ASSERT_NE(a.hashes, nullptr);

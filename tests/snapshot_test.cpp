@@ -307,8 +307,8 @@ TEST(Determinism, ResumeEquivalenceAcrossSeeds) {
     o.seed = seed;
     o.warmup = msec(50);
     o.measure = msec(150);
-    o.snapshot.hash_epochs = true;
-    o.snapshot.epoch = msec(10);
+    o.observe.snapshot.hash_epochs = true;
+    o.observe.snapshot.epoch = msec(10);
     const StreamResult a = run_stream(o);
     const StreamResult b = run_stream(o);
     ASSERT_NE(a.hashes, nullptr);
@@ -386,8 +386,8 @@ TEST(Determinism, EpochHashingIsPassive) {
   o.warmup = msec(50);
   o.measure = msec(150);
   const StreamResult plain = run_stream(o);
-  o.snapshot.hash_epochs = true;
-  o.snapshot.epoch = msec(5);
+  o.observe.snapshot.hash_epochs = true;
+  o.observe.snapshot.epoch = msec(5);
   const StreamResult hashed = run_stream(o);
   // Hashing draws no RNG and schedules nothing the model observes:
   // the measured trajectory is unchanged.

@@ -1,5 +1,4 @@
-// Trace-based event-path regression tests (compiled under -DES2_TRACE=ON
-// only — they need the instrumentation call sites).
+// Trace-based event-path regression tests over real traced streams.
 //
 // These lock down the event path itself, not just aggregate counters:
 //   * determinism — same seed, same workload => byte-identical traces;
@@ -28,8 +27,8 @@ StreamOptions traced_stream(const Es2Config& config, bool vm_sends) {
   o.vm_sends = vm_sends;
   o.warmup = msec(100);
   o.measure = msec(250);
-  o.trace.enabled = true;
-  o.trace.capacity = std::size_t{1} << 18;
+  o.observe.trace.enabled = true;
+  o.observe.trace.capacity = std::size_t{1} << 18;
   return o;
 }
 
@@ -61,7 +60,7 @@ TEST(TracePath, SameSeedTracesAreByteIdentical) {
 TEST(TracePath, TracingDoesNotPerturbTheRun) {
   StreamOptions traced = traced_stream(Es2Config::baseline(), true);
   StreamOptions plain = traced;
-  plain.trace = TraceOptions{};  // same run, tracing off
+  plain.observe.trace = TraceOptions{};  // same run, tracing off
   const StreamResult with = run_stream(traced);
   const StreamResult without = run_stream(plain);
   ASSERT_NE(with.trace, nullptr);
@@ -99,11 +98,16 @@ TEST(TracePath, TracedRunStitchesCompleteJourneys) {
   const StreamResult r =
       run_stream(traced_stream(Es2Config::pi(), /*vm_sends=*/false));
   ASSERT_NE(r.trace, nullptr);
-  EXPECT_GT(r.stages.journeys, 0);
-  EXPECT_GT(r.stages.complete, 0);
-  EXPECT_GT(r.stages.end_to_end_p50, 0);
-  EXPECT_GT(r.stages.msi_to_dispatch_p50, 0);
-  EXPECT_GT(r.stages.dispatch_to_eoi_p50, 0);
+  const BlameBreakdown b = blame_of(r.trace.get());
+  const auto ns = [&b](BlameComponent c) {
+    return b.component_ns[static_cast<std::size_t>(c)];
+  };
+  EXPECT_GT(b.journeys, 0);
+  EXPECT_GT(b.complete, 0);
+  EXPECT_GT(b.end_to_end.p50(), 0);
+  EXPECT_GT(ns(BlameComponent::kMsiDelivery) + ns(BlameComponent::kVcpuWait),
+            0);
+  EXPECT_GT(ns(BlameComponent::kGuestService), 0);
 }
 
 TEST(TracePath, ChaosTraceShowsMissedMsiWatchdogRecovery) {
@@ -115,7 +119,7 @@ TEST(TracePath, ChaosTraceShowsMissedMsiWatchdogRecovery) {
   co.stream = traced_stream(Es2Config::pi(), /*vm_sends=*/false);
   co.stream.measure = msec(300);
   // Large enough that ring wraparound cannot evict the first MSI drop.
-  co.stream.trace.capacity = std::size_t{1} << 20;
+  co.stream.observe.trace.capacity = std::size_t{1} << 20;
   co.faults.msi_loss = 0.2;
   co.tx_watchdog = true;
   co.budget.max_sim_time = sec(2);

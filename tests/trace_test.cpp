@@ -1,8 +1,7 @@
 // Tracer unit tests: ring-buffer wraparound, correlation-id plumbing, the
-// span builder on hand-crafted record sequences, exporter round-trips and
-// the zero-allocation guarantee on the hot emit path (this binary links
-// es2_alloc_hook). These run in every build — the trace library itself is
-// always compiled; only the model call sites are gated by ES2_TRACE.
+// journey stitcher on hand-crafted record sequences, exporter round-trips
+// and the zero-allocation guarantee on the hot emit path (this binary
+// links es2_alloc_hook).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,7 +12,7 @@
 #include "sim/invariant_auditor.h"
 #include "sim/simulator.h"
 #include "trace/export.h"
-#include "trace/span.h"
+#include "trace/journey.h"
 #include "trace/trace.h"
 
 namespace es2 {
@@ -144,80 +143,77 @@ TEST(TracerCorr, LastCorrTracksMostRecentCorrelatedEmit) {
 }
 
 // ---------------------------------------------------------------------------
-// Span builder
+// Journey stitcher
 // ---------------------------------------------------------------------------
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
 
 TEST(SpanBuilder, StitchesOneCompleteJourney) {
   Tracer tracer = make_tracer(64);
   tracer.enable();
   tracer.emit(100, TraceKind::kKick, 0, -1, -1, 0, 7);
   tracer.emit(250, TraceKind::kWorkerTurn, 0, -1, 4, 0, 7);
+  tracer.emit(300, TraceKind::kIrqSuppressed, 0, -1, 4, 0, 7);
   tracer.emit(400, TraceKind::kMsiRaise, 0, -1, 4, 33, 7);
   tracer.emit(600, TraceKind::kIrqDispatch, 0, 0, 1, 33, 7);
   tracer.emit(900, TraceKind::kEoi, 0, 0, 1, 0, 7);
 
-  std::vector<JourneySpan> spans;
-  const SpanBreakdown b = build_spans(tracer.snapshot(), &spans);
-  ASSERT_EQ(spans.size(), 1u);
-  const JourneySpan& s = spans[0];
-  EXPECT_EQ(s.corr, 7u);
-  EXPECT_EQ(s.vm, 0);
-  EXPECT_EQ(s.vcpu, 0);
-  EXPECT_EQ(s.kick, 100);
-  EXPECT_EQ(s.backend, 250);
-  EXPECT_EQ(s.msi, 400);
-  EXPECT_EQ(s.dispatch, 600);
-  EXPECT_EQ(s.eoi, 900);
-  EXPECT_TRUE(s.complete());
-  EXPECT_EQ(s.start(), 100);
-
-  EXPECT_EQ(b.journeys, 1);
-  EXPECT_EQ(b.complete, 1);
-  EXPECT_EQ(b.partial, 0);
-  EXPECT_EQ(b.kick_to_backend.count(), 1);
-  EXPECT_EQ(b.backend_to_msi.count(), 1);
-  EXPECT_EQ(b.msi_to_dispatch.count(), 1);
-  EXPECT_EQ(b.dispatch_to_eoi.count(), 1);
-  EXPECT_EQ(b.end_to_end.count(), 1);
-  // Log-bucketed histogram: ~3% relative error bound.
-  EXPECT_NEAR(static_cast<double>(b.kick_to_backend.p50()), 150.0, 15.0);
-  EXPECT_NEAR(static_cast<double>(b.dispatch_to_eoi.p50()), 300.0, 30.0);
-  EXPECT_NEAR(static_cast<double>(b.end_to_end.p50()), 800.0, 80.0);
+  const std::vector<Journey> journeys = stitch_journeys(tracer.snapshot());
+  ASSERT_EQ(journeys.size(), 1u);
+  const Journey& j = journeys[0];
+  EXPECT_EQ(j.corr, 7u);
+  EXPECT_EQ(j.vm, 0);
+  EXPECT_EQ(j.vcpu, 0);
+  EXPECT_EQ(j.queue, 0);
+  EXPECT_TRUE(j.tx_origin);
+  EXPECT_EQ(j.origin, 100);
+  EXPECT_EQ(j.backend, 250);
+  EXPECT_EQ(j.suppressed, 300);
+  EXPECT_EQ(j.msi, 400);
+  EXPECT_EQ(j.dispatch, 600);
+  EXPECT_EQ(j.eoi, 900);
+  EXPECT_EQ(j.start(), 100);
 }
 
 TEST(SpanBuilder, LandmarksRecordFirstOccurrenceOnly) {
-  // A coalesced journey posts twice; the span keeps the earliest MSI.
+  // A coalesced journey posts twice; the journey keeps the earliest MSI.
   Tracer tracer = make_tracer(64);
   tracer.enable();
   tracer.emit(100, TraceKind::kKick, 0, -1, -1, 0, 3);
   tracer.emit(200, TraceKind::kMsiRaise, 0, -1, 4, 33, 3);
-  tracer.emit(300, TraceKind::kPiCoalesced, 0, 0, 4, 33, 3);
-  std::vector<JourneySpan> spans;
-  build_spans(tracer.snapshot(), &spans);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].msi, 200);
+  tracer.emit(300, TraceKind::kPiPost, 0, 0, 4, 33, 3);
+  const std::vector<Journey> journeys = stitch_journeys(tracer.snapshot());
+  ASSERT_EQ(journeys.size(), 1u);
+  EXPECT_EQ(journeys[0].msi, 200);
 }
 
 TEST(SpanBuilder, WireRxOpensTheJourneyLikeAKick) {
   Tracer tracer = make_tracer(64);
   tracer.enable();
-  tracer.emit(50, TraceKind::kWireRx, 0, -1, -1, 0, 9);
+  tracer.emit(50, TraceKind::kWireRx, 0, -1, -1, /*pair=*/0, 9);
   tracer.emit(180, TraceKind::kWorkerTurn, 0, -1, 4, 1, 9);
   tracer.emit(320, TraceKind::kMsiRaise, 0, -1, 4, 34, 9);
   tracer.emit(500, TraceKind::kIrqDispatch, 0, 0, 0, 34, 9);
   tracer.emit(700, TraceKind::kEoi, 0, 0, 0, 0, 9);
-  std::vector<JourneySpan> spans;
-  const SpanBreakdown b = build_spans(tracer.snapshot(), &spans);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].kick, 50);
-  EXPECT_TRUE(spans[0].complete());
-  EXPECT_EQ(b.complete, 1);
+  const std::vector<Journey> journeys = stitch_journeys(tracer.snapshot());
+  ASSERT_EQ(journeys.size(), 1u);
+  EXPECT_EQ(journeys[0].origin, 50);
+  EXPECT_EQ(journeys[0].queue, 1);  // pair 0's RX queue
+  EXPECT_FALSE(journeys[0].tx_origin);
+  EXPECT_EQ(journeys[0].eoi, 700);
 }
 
-TEST(SpanBuilder, PartialJourneysFeedTheStagesTheyCompleted) {
+TEST(SpanBuilder, KicklessJourneyStillDrawsOnePerfettoBar) {
   Tracer tracer = make_tracer(64);
   tracer.enable();
-  // Journey 1: kick serviced, interrupt suppressed — no msi/dispatch/eoi.
+  // Journey 1: kick serviced, interrupt suppressed — never reaches EOI.
   tracer.emit(100, TraceKind::kKick, 0, -1, -1, 0, 1);
   tracer.emit(260, TraceKind::kWorkerTurn, 0, -1, 4, 0, 1);
   // Journey 2: timer-style — no kick, straight to post/dispatch/eoi.
@@ -225,19 +221,19 @@ TEST(SpanBuilder, PartialJourneysFeedTheStagesTheyCompleted) {
   tracer.emit(550, TraceKind::kIrqDispatch, 0, 0, 1, 48, 2);
   tracer.emit(800, TraceKind::kEoi, 0, 0, 1, 0, 2);
 
-  std::vector<JourneySpan> spans;
-  const SpanBreakdown b = build_spans(tracer.snapshot(), &spans);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_FALSE(spans[0].complete());
-  EXPECT_TRUE(spans[1].complete());
-  EXPECT_EQ(spans[1].kick, -1);
-  EXPECT_EQ(b.journeys, 2);
-  EXPECT_EQ(b.complete, 1);
-  EXPECT_EQ(b.partial, 1);
-  EXPECT_EQ(b.kick_to_backend.count(), 1);   // journey 1 only
-  EXPECT_EQ(b.msi_to_dispatch.count(), 1);   // journey 2 only
-  EXPECT_EQ(b.dispatch_to_eoi.count(), 1);
-  EXPECT_EQ(b.end_to_end.count(), 1);        // journey 2: first landmark->eoi
+  const std::vector<TraceRecord> records = tracer.snapshot();
+  const std::vector<Journey> journeys = stitch_journeys(records);
+  ASSERT_EQ(journeys.size(), 2u);
+  EXPECT_EQ(journeys[0].eoi, -1);
+  EXPECT_EQ(journeys[1].origin, -1);
+  EXPECT_EQ(journeys[1].start(), 400);  // the post opens the bar
+
+  const std::string json = to_perfetto_json(records, journeys);
+  EXPECT_TRUE(json_valid(json));
+  EXPECT_EQ(count_of(json, "\"ph\":\"b\""), 1u);
+  EXPECT_EQ(count_of(json, "\"ph\":\"e\""), 1u);
+  EXPECT_NE(json.find("\"ph\":\"b\",\"id\":2,\"ts\":0.400"),
+            std::string::npos);
 }
 
 TEST(SpanBuilder, UncorrelatedRecordsFormNoJourney) {
@@ -245,10 +241,7 @@ TEST(SpanBuilder, UncorrelatedRecordsFormNoJourney) {
   tracer.enable();
   tracer.emit(10, TraceKind::kSchedIn, -1, -1, 0, 5);
   tracer.emit(20, TraceKind::kVmExit, 0, 0, 1, 2);
-  std::vector<JourneySpan> spans;
-  const SpanBreakdown b = build_spans(tracer.snapshot(), &spans);
-  EXPECT_TRUE(spans.empty());
-  EXPECT_EQ(b.journeys, 0);
+  EXPECT_TRUE(stitch_journeys(tracer.snapshot()).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -299,11 +292,10 @@ TEST(TraceExport, EmptyTraceRoundTrips) {
 }
 
 TEST(TraceExport, PerfettoJsonIsStructurallyValid) {
-  std::vector<JourneySpan> spans;
-  std::vector<TraceRecord> records = sample_records();
-  build_spans(records, &spans);
-  const std::string json = to_perfetto_json(records, spans);
+  const std::vector<TraceRecord> records = sample_records();
+  const std::string json = to_perfetto_json(records, stitch_journeys(records));
   EXPECT_TRUE(json_valid(json));
+  EXPECT_EQ(count_of(json, "\"cat\":\"journey\""), 2u);  // one b/e pair
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("msi_raise"), std::string::npos);
 }

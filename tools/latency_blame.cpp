@@ -121,9 +121,7 @@ int main(int argc, char** argv) {
   if (read_binary(data, &records)) {
     const BlameBreakdown blame = analyze_blame(records, options);
     if (blame.journeys == 0) {
-      std::fprintf(stderr,
-                   "latency_blame: %s holds no journeys (was the run traced "
-                   "with -DES2_TRACE=ON?)\n",
+      std::fprintf(stderr, "latency_blame: %s holds no journeys\n",
                    inputs[0]);
       return 2;
     }
