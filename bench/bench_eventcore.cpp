@@ -6,6 +6,8 @@
 //     (mostly sub-4µs completions, some sub-ms, a tail of long timers);
 //   * the preempted-CPU-segment pattern: schedule a completion, cancel it
 //     before it fires, reschedule (the queue's dominant cancel load);
+//   * the storm's timer flood: 65,536 live retransmit timers re-armed
+//     50 ms out, interleaved with a chain of sub-4µs completions;
 //   * the end-to-end Fig. 4 quota sweep wall time.
 //
 // Emits BENCH_eventcore.json in the shared es2-bench-v1 schema
@@ -118,8 +120,8 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The simulator's delay mix: mostly short completions (near/wheel),
-/// a tail of long timers (overflow heap).
+/// The simulator's delay mix: mostly short completions (near heap and
+/// wheel level 0), a tail of long timers (higher wheel levels).
 SimDuration next_delay(Rng& rng) {
   const std::uint64_t r = rng.next_u64();
   const std::uint64_t c = r % 100;
@@ -199,6 +201,49 @@ ChurnResult run_cancel_churn(std::int64_t target_ops, std::uint64_t seed) {
   return r;
 }
 
+/// The storm collapse's shape: kTimers live timers, each re-armed
+/// kRto after it fires (one SYN retransmit timer per pending
+/// connection), interleaved with a chain of sub-4µs completions (the
+/// packet path). One full timeout period runs before the measured span,
+/// so the pool and the heaps have reached their high-water marks.
+template <typename Queue>
+ChurnResult run_timer_flood(std::int64_t target_fires, std::uint64_t seed) {
+  constexpr int kTimers = 65536;
+  constexpr SimDuration kRto = msec(50);
+  Queue q;
+  Rng rng = Rng::stream(seed, "eventcore-flood");
+  bool timer_fired = false;
+  auto timer = [&timer_fired] { timer_fired = true; };
+  auto chain = [&timer_fired] { timer_fired = false; };
+  for (int i = 0; i < kTimers; ++i) {
+    q.schedule(static_cast<SimTime>(rng.next_u64() % kRto), timer);
+  }
+  q.schedule(0, chain);
+  auto step = [&] {
+    const SimTime now = q.pop_and_run();
+    if (timer_fired) {
+      q.schedule(now + kRto, timer);
+    } else {
+      q.schedule(now + 1 + static_cast<SimDuration>(rng.next_u64() % usec(4)),
+                 chain);
+    }
+    return now;
+  };
+  while (step() < kRto) {
+  }
+  const std::int64_t alloc0 = test::allocation_count();
+  const auto start = Clock::now();
+  for (std::int64_t fired = 0; fired < target_fires; ++fired) step();
+  const double elapsed = seconds_since(start);
+  const std::int64_t allocs = test::allocation_count() - alloc0;
+  ChurnResult r;
+  r.events_per_sec = static_cast<double>(target_fires) / elapsed;
+  r.ns_per_event = elapsed * 1e9 / static_cast<double>(target_fires);
+  r.allocs_per_event =
+      static_cast<double>(allocs) / static_cast<double>(target_fires);
+  return r;
+}
+
 /// End-to-end check: wall time of the Fig. 4 quota sweep (the PR's
 /// representative full-simulation workload) on the production queue.
 double fig4_sweep_seconds(bool fast, std::uint64_t seed) {
@@ -272,6 +317,9 @@ int bench_main(int argc, char** argv) {
   const ChurnResult cancel_new = run_cancel_churn<EventQueue>(cancel_ops, seed);
   const ChurnResult cancel_old =
       run_cancel_churn<legacy::EventQueue>(cancel_ops, seed);
+  const ChurnResult flood_new = run_timer_flood<EventQueue>(fires, seed);
+  const ChurnResult flood_old =
+      run_timer_flood<legacy::EventQueue>(fires, seed);
 
   Table t({"workload", "impl", "events/s", "ns/event", "allocs/event"});
   auto row = [&t](const char* wl, const char* impl, const ChurnResult& r) {
@@ -282,18 +330,22 @@ int bench_main(int argc, char** argv) {
   row("schedule+fire", "legacy", fire_old);
   row("cancel churn", "pooled", cancel_new);
   row("cancel churn", "legacy", cancel_old);
+  row("timer flood", "pooled", flood_new);
+  row("timer flood", "legacy", flood_old);
   std::printf("%s", t.render().c_str());
-  std::printf("speedup: schedule+fire %.2fx, cancel churn %.2fx\n",
-              fire_new.events_per_sec / fire_old.events_per_sec,
-              cancel_new.events_per_sec / cancel_old.events_per_sec);
+  std::printf(
+      "speedup: schedule+fire %.2fx, cancel churn %.2fx, timer flood %.2fx\n",
+      fire_new.events_per_sec / fire_old.events_per_sec,
+      cancel_new.events_per_sec / cancel_old.events_per_sec,
+      flood_new.events_per_sec / flood_old.events_per_sec);
 
   const EventQueueStats stats = layer_stats(seed);
   std::printf(
-      "layers: near %llu, wheel %llu, far %llu (migrations %llu), boxed %llu\n",
+      "layers: near %llu, wheel %llu, far %llu (cascades %llu), boxed %llu\n",
       static_cast<unsigned long long>(stats.near_hits),
       static_cast<unsigned long long>(stats.wheel_hits),
       static_cast<unsigned long long>(stats.far_hits),
-      static_cast<unsigned long long>(stats.far_migrations),
+      static_cast<unsigned long long>(stats.cascades),
       static_cast<unsigned long long>(stats.boxed_callbacks));
 
   const double fig4_s = fig4_sweep_seconds(fast, seed);
@@ -314,16 +366,19 @@ int bench_main(int argc, char** argv) {
   add_churn("schedule_fire_legacy", fire_old);
   add_churn("cancel_churn_pooled", cancel_new);
   add_churn("cancel_churn_legacy", cancel_old);
+  add_churn("timer_flood_pooled", flood_new);
+  add_churn("timer_flood_legacy", flood_old);
   report.add_info("speedup_schedule_fire",
                   fire_new.events_per_sec / fire_old.events_per_sec);
   report.add_info("speedup_cancel_churn",
                   cancel_new.events_per_sec / cancel_old.events_per_sec);
+  report.add_info("speedup_timer_flood",
+                  flood_new.events_per_sec / flood_old.events_per_sec);
   report.add_info("fig4_sweep_wall_seconds", fig4_s);
   report.add("layers.near_hits", static_cast<double>(stats.near_hits));
   report.add("layers.wheel_hits", static_cast<double>(stats.wheel_hits));
   report.add("layers.far_hits", static_cast<double>(stats.far_hits));
-  report.add("layers.far_migrations",
-             static_cast<double>(stats.far_migrations));
+  report.add("layers.cascades", static_cast<double>(stats.cascades));
   report.add("layers.peak_live", static_cast<double>(stats.peak_live));
   report.add("layers.boxed_callbacks",
              static_cast<double>(stats.boxed_callbacks), 0.0);

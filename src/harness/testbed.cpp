@@ -205,18 +205,19 @@ void Testbed::register_all_metrics() {
                   [qs] { return static_cast<double>(qs->peak_live); });
   registry_.probe("eventcore.slabs_allocated",
                   [qs] { return static_cast<double>(qs->slabs_allocated); });
-  // Timing-wheel placement counters: where events landed (near ring,
-  // wheel, far heap) and how often the far heap migrated/compacted —
-  // the event-core pressure signals blame reports read next to the
-  // per-stage attribution.
+  // Timing-wheel placement counters: where events landed (near heap,
+  // wheel level 0, higher levels), how often entries cascaded down a
+  // level and how often the near heap compacted — the event-core
+  // pressure signals blame reports read next to the per-stage
+  // attribution.
   registry_.probe("eventcore.near_hits",
                   [qs] { return static_cast<double>(qs->near_hits); });
   registry_.probe("eventcore.wheel_hits",
                   [qs] { return static_cast<double>(qs->wheel_hits); });
   registry_.probe("eventcore.far_hits",
                   [qs] { return static_cast<double>(qs->far_hits); });
-  registry_.probe("eventcore.far_migrations",
-                  [qs] { return static_cast<double>(qs->far_migrations); });
+  registry_.probe("eventcore.cascades",
+                  [qs] { return static_cast<double>(qs->cascades); });
   registry_.probe("eventcore.heap_compactions",
                   [qs] { return static_cast<double>(qs->heap_compactions); });
 

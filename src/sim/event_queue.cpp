@@ -1,11 +1,16 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/assert.h"
 
 namespace es2 {
 namespace detail {
+
+EventCore::EventCore() {
+  std::fill(std::begin(wheel_), std::end(wheel_), kInvalidSlot);
+}
 
 void EventCore::close() {
   // Destroy callbacks of events that never fired (their captures may own
@@ -21,10 +26,10 @@ void EventCore::close() {
     }
   }
   near_.clear();
-  far_.clear();
-  near_stale_ = far_stale_ = 0;
-  for (Bucket& b : wheel_) b.head = kInvalidSlot;
-  for (std::uint64_t& word : occupied_) word = 0;
+  near_stale_ = 0;
+  std::fill(std::begin(wheel_), std::end(wheel_), kInvalidSlot);
+  std::fill(std::begin(occupied_), std::end(occupied_), 0);
+  occupied_words_ = 0;
   live_ = 0;
   // Rebuild the free list from scratch (idempotent), keeping low slots
   // first, so every slab's records stay reachable if the core is used
@@ -79,35 +84,41 @@ void EventCore::push_near(std::uint32_t slot, EventRecord& r) {
   std::push_heap(near_.begin(), near_.end(), KeyLater{});
 }
 
-void EventCore::push_far(std::uint32_t slot, EventRecord& r) {
-  r.loc = EventLocation::kFar;
-  far_.push_back(HeapKey{r.when, r.seq, slot, r.gen});
-  std::push_heap(far_.begin(), far_.end(), KeyLater{});
-}
-
-void EventCore::link_wheel(std::uint32_t slot, EventRecord& r) {
+int EventCore::file(std::uint32_t slot, EventRecord& r) {
+  const std::uint64_t b = bucket_index(r.when);
+  if (b <= cursor_) {
+    push_near(slot, r);
+    return -1;
+  }
+  const int level = (63 - __builtin_clzll(b ^ cursor_)) / kLevelBits;
   const std::uint32_t idx =
-      static_cast<std::uint32_t>(bucket_index(r.when)) & (kWheelBuckets - 1);
+      static_cast<std::uint32_t>(level) * kWheelSlots +
+      (static_cast<std::uint32_t>(b >> (level * kLevelBits)) &
+       (kWheelSlots - 1));
   r.loc = EventLocation::kWheel;
-  r.bucket = idx;
+  r.wheel_slot = idx;
   r.prev = kInvalidSlot;
-  r.next = wheel_[idx].head;
+  r.next = wheel_[idx];
   if (r.next != kInvalidSlot) record(r.next).prev = slot;
-  wheel_[idx].head = slot;
+  wheel_[idx] = slot;
   occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+  occupied_words_ |= 1u << (idx / 64);
+  return level;
 }
 
 void EventCore::unlink_from_wheel(EventRecord& r, std::uint32_t slot) {
   (void)slot;  // only referenced by the debug check below
+  const std::uint32_t idx = r.wheel_slot;
   if (r.prev != kInvalidSlot) {
     record(r.prev).next = r.next;
   } else {
-    ES2_DCHECK(wheel_[r.bucket].head == slot);
-    wheel_[r.bucket].head = r.next;
+    ES2_DCHECK(wheel_[idx] == slot);
+    wheel_[idx] = r.next;
   }
   if (r.next != kInvalidSlot) record(r.next).prev = r.prev;
-  if (wheel_[r.bucket].head == kInvalidSlot) {
-    occupied_[r.bucket / 64] &= ~(std::uint64_t{1} << (r.bucket % 64));
+  if (wheel_[idx] == kInvalidSlot) {
+    occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    if (occupied_[idx / 64] == 0) occupied_words_ &= ~(1u << (idx / 64));
   }
 }
 
@@ -116,17 +127,7 @@ void EventCore::enqueue(std::uint32_t slot, SimTime when) {
   EventRecord& r = record(slot);
   r.when = when;
   r.seq = next_seq_++;
-  const std::uint64_t b = bucket_index(when);
-  if (b <= cursor_) {
-    push_near(slot, r);
-    stats_.near_hits++;
-  } else if (b < cursor_ + kWheelBuckets) {
-    link_wheel(slot, r);
-    stats_.wheel_hits++;
-  } else {
-    push_far(slot, r);
-    stats_.far_hits++;
-  }
+  stats_.count_placement(file(slot, r));
   stats_.scheduled++;
   ++live_;
   if (live_ > stats_.peak_live) stats_.peak_live = live_;
@@ -135,140 +136,88 @@ void EventCore::enqueue(std::uint32_t slot, SimTime when) {
 void EventCore::cancel(std::uint32_t slot, std::uint32_t gen) {
   EventRecord& r = record(slot);
   if (r.gen != gen || r.loc == EventLocation::kFree) return;
-  const EventLocation loc = r.loc;
-  if (loc == EventLocation::kWheel) {
-    unlink_from_wheel(r, slot);
-  } else if (loc == EventLocation::kNear) {
+  const bool in_near = r.loc == EventLocation::kNear;
+  if (in_near) {
     ++near_stale_;
   } else {
-    ++far_stale_;
+    unlink_from_wheel(r, slot);
   }
   // Reclaim (and bump the generation) BEFORE any compaction so the
   // cancelled key is recognisably dead: compacting first would let it
-  // survive the pass while the stale counter resets, and skim() would
-  // later underflow that counter when the key finally surfaced.
+  // survive the pass while the stale counter resets, and skim_near()
+  // would later underflow that counter when the key finally surfaced.
   free_slot(slot);
   stats_.cancelled++;
   --live_;
-  if (loc == EventLocation::kNear) {
-    maybe_compact(near_, near_stale_);
-  } else if (loc == EventLocation::kFar) {
-    maybe_compact(far_, far_stale_);
-  }
+  if (in_near) maybe_compact_near();
 }
 
-void EventCore::skim(std::vector<HeapKey>& heap, std::size_t& stale) {
-  while (!heap.empty()) {
-    const HeapKey& top = heap.front();
+void EventCore::skim_near() {
+  while (!near_.empty()) {
+    const HeapKey& top = near_.front();
     if (record(top.slot).gen == top.gen) return;  // live key
-    std::pop_heap(heap.begin(), heap.end(), KeyLater{});
-    heap.pop_back();
-    ES2_DCHECK(stale > 0);
-    --stale;
+    std::pop_heap(near_.begin(), near_.end(), KeyLater{});
+    near_.pop_back();
+    ES2_DCHECK(near_stale_ > 0);
+    --near_stale_;
   }
 }
 
-void EventCore::maybe_compact(std::vector<HeapKey>& heap, std::size_t& stale) {
-  if (stale < 64 || stale * 2 <= heap.size()) return;
+void EventCore::maybe_compact_near() {
+  if (near_stale_ < 64 || near_stale_ * 2 <= near_.size()) return;
   // Precondition: every counted-stale key has a mismatched generation
-  // (cancel() calls free_slot() before compacting), so exactly `stale`
-  // keys are removed here and resetting the counter to 0 is exact.
+  // (cancel() calls free_slot() before compacting), so exactly
+  // `near_stale_` keys are removed here and resetting it is exact.
   auto dead = [this](const HeapKey& k) {
     return record(k.slot).gen != k.gen;
   };
-  heap.erase(std::remove_if(heap.begin(), heap.end(), dead), heap.end());
-  std::make_heap(heap.begin(), heap.end(), KeyLater{});
-  stale = 0;
+  near_.erase(std::remove_if(near_.begin(), near_.end(), dead), near_.end());
+  std::make_heap(near_.begin(), near_.end(), KeyLater{});
+  near_stale_ = 0;
   stats_.heap_compactions++;
-}
-
-std::uint64_t EventCore::next_occupied_bucket(bool& found) const {
-  // Wheel buckets live strictly inside (cursor_, cursor_ + kWheelBuckets),
-  // so each set bit maps back to a unique absolute bucket index.
-  const std::uint32_t start =
-      (static_cast<std::uint32_t>(cursor_) + 1) & (kWheelBuckets - 1);
-  for (std::uint32_t scanned = 0; scanned < kWheelBuckets;) {
-    const std::uint32_t idx = (start + scanned) & (kWheelBuckets - 1);
-    const std::uint32_t word = idx / 64;
-    std::uint64_t bits = occupied_[word] >> (idx % 64);
-    const std::uint32_t span =
-        std::min<std::uint32_t>(64 - idx % 64, kWheelBuckets - scanned);
-    if (bits != 0) {
-      const auto bit = static_cast<std::uint32_t>(__builtin_ctzll(bits));
-      if (bit < span) {
-        const std::uint32_t abs_idx = (idx + bit) & (kWheelBuckets - 1);
-        // Distance forward from cursor_ in circular bucket space.
-        const std::uint32_t rel =
-            (abs_idx - static_cast<std::uint32_t>(cursor_)) &
-            (kWheelBuckets - 1);
-        found = true;
-        return cursor_ + rel;
-      }
-    }
-    scanned += span;
-  }
-  found = false;
-  return 0;
-}
-
-void EventCore::migrate_far() {
-  for (;;) {
-    skim(far_, far_stale_);
-    if (far_.empty()) return;
-    const HeapKey k = far_.front();
-    if (bucket_index(k.when) >= cursor_ + kWheelBuckets) return;
-    std::pop_heap(far_.begin(), far_.end(), KeyLater{});
-    far_.pop_back();
-    EventRecord& r = record(k.slot);
-    if (bucket_index(k.when) <= cursor_) {
-      push_near(k.slot, r);
-    } else {
-      link_wheel(k.slot, r);
-    }
-    stats_.far_migrations++;
-  }
 }
 
 void EventCore::refill_near() {
   while (near_.empty()) {
-    bool found = false;
-    const std::uint64_t next_bucket = next_occupied_bucket(found);
-    if (found) {
-      cursor_ = next_bucket;
-      const std::uint32_t idx =
-          static_cast<std::uint32_t>(cursor_) & (kWheelBuckets - 1);
-      std::uint32_t slot = wheel_[idx].head;
-      wheel_[idx].head = kInvalidSlot;
-      occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-      while (slot != kInvalidSlot) {
-        EventRecord& r = record(slot);
-        const std::uint32_t next = r.next;
-        r.prev = r.next = kInvalidSlot;
-        push_near(slot, r);
-        slot = next;
-      }
-    } else {
-      skim(far_, far_stale_);
-      ES2_CHECK_MSG(!far_.empty(), "live event count out of sync");
-      cursor_ = bucket_index(far_.front().when);
+    ES2_CHECK_MSG(occupied_words_ != 0, "live event count out of sync");
+    // Bits run level-major, slot-ascending, and every occupied slot of a
+    // level lies after the cursor's group there, so the lowest set bit
+    // is the next occupied slot of the lowest occupied level: it holds
+    // the earliest events.
+    const auto word =
+        static_cast<std::uint32_t>(__builtin_ctz(occupied_words_));
+    const std::uint32_t idx =
+        word * 64 +
+        static_cast<std::uint32_t>(__builtin_ctzll(occupied_[word]));
+    const int level = static_cast<int>(idx / kWheelSlots);
+    const int shift = level * kLevelBits;
+    // Enter the slot: keep the cursor's groups above `level`, take the
+    // slot's group there and the lowest bucket below it.
+    cursor_ = (cursor_ >> (shift + kLevelBits) << (shift + kLevelBits)) |
+              (std::uint64_t{idx % kWheelSlots} << shift);
+    std::uint32_t slot = wheel_[idx];
+    wheel_[idx] = kInvalidSlot;
+    occupied_[word] &= ~(std::uint64_t{1} << (idx % 64));
+    if (occupied_[word] == 0) occupied_words_ &= ~(1u << word);
+    // Every entry now matches the cursor down to group `level`, so it
+    // refiles strictly lower: a lower level, or the near heap.
+    while (slot != kInvalidSlot) {
+      EventRecord& r = record(slot);
+      const std::uint32_t next = r.next;
+      file(slot, r);
+      if (level > 0) stats_.cascades++;
+      slot = next;
     }
-    // The wheel window moved forward: admit far events that now fit.
-    migrate_far();
   }
 }
 
-SimTime EventCore::next_time() {
-  ES2_CHECK_MSG(live_ > 0, "next_time on empty queue");
-  skim(near_, near_stale_);
-  if (near_.empty()) refill_near();
-  return near_.front().when;
-}
-
-SimTime EventCore::pop_and_run() {
-  ES2_CHECK_MSG(live_ > 0, "pop_and_run on empty queue");
-  skim(near_, near_stale_);
+bool EventCore::run_next(SimTime deadline, SimTime& clock) {
+  if (live_ == 0) return false;
+  skim_near();
   if (near_.empty()) refill_near();
   const HeapKey k = near_.front();
+  if (k.when > deadline) return false;
+  clock = k.when;
   std::pop_heap(near_.begin(), near_.end(), KeyLater{});
   near_.pop_back();
   EventRecord& r = record(k.slot);
@@ -290,8 +239,16 @@ SimTime EventCore::pop_and_run() {
     ~SlotReclaimer() { core->free_slot(slot); }
   } reclaim{this, k.slot};
   r.fn();
-  return k.when;
+  return true;
 }
 
 }  // namespace detail
+
+SimTime EventQueue::pop_and_run() {
+  ES2_CHECK_MSG(has_next(), "pop_and_run on empty queue");
+  SimTime when = 0;
+  core_->run_next(std::numeric_limits<SimTime>::max(), when);
+  return when;
+}
+
 }  // namespace es2

@@ -16,22 +16,27 @@
 //    reference to the pool core. `cancel()` and `pending()` are O(1);
 //    cancellation destroys the callback and reclaims the slot
 //    immediately (no lazy heap skimming of whole entries — at most a
-//    16-byte stale key stays behind, see below). Handles may outlive
-//    the queue: the core is freed when the last handle drops it.
+//    24-byte stale near-heap key stays behind, see below). Handles may
+//    outlive the queue: the core is freed when the last handle drops it.
 //
-//  * A calendar-queue front-end keyed on `SimTime`: a small "near" heap
-//    carries everything due in the current 2^kBucketShift-ns bucket or
-//    earlier, a kWheelBuckets-slot timer wheel of intrusive lists
-//    covers the next ~1 ms, and a sorted overflow heap holds far-future
-//    events, migrating into the wheel as the cursor advances. Every
-//    event carries a global sequence number and the near heap orders by
+//  * A hierarchical timing wheel keyed on `SimTime`: a small "near" heap
+//    carries everything due in the current 2^kBucketShift-ns bucket (the
+//    cursor) or earlier; every later event sits in an intrusive list in
+//    one of kWheelLevels levels of kWheelSlots slots. An event is filed
+//    at the level of the highest kLevelBits-bit group in which its bucket
+//    index differs from the cursor, so the levels together cover every
+//    non-negative `SimTime` and there is no overflow tier. When the near
+//    heap runs dry the cursor moves to the next occupied slot of the
+//    lowest occupied level and that slot's list cascades down one level,
+//    or into the near heap once its bucket is the cursor. Every event
+//    carries a global sequence number and the near heap orders by
 //    (when, seq), so firing order is exactly the seed's deterministic
-//    (time, insertion-order) contract, independent of bucket layout.
+//    (time, insertion-order) contract, independent of wheel layout.
 //
-// Cancelled events that sit in one of the two heaps leave a stale
-// 24-byte key which is dropped when it surfaces; heaps compact
-// themselves when more than half their keys are stale, so cancel-heavy
-// workloads cannot bloat the queue.
+// Wheel entries cancel by an O(1) unlink. Cancelled events in the near
+// heap leave a stale 24-byte key which is dropped when it surfaces; the
+// heap compacts itself when more than half its keys are stale, so
+// cancel-heavy workloads cannot bloat the queue.
 #pragma once
 
 #include <cstddef>
@@ -68,8 +73,7 @@ inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
 enum class EventLocation : std::uint8_t {
   kFree = 0,   // on the free list
   kNear,       // keyed into the near heap
-  kWheel,      // linked into a wheel bucket
-  kFar,        // keyed into the far overflow heap
+  kWheel,      // linked into a wheel slot
 };
 
 /// One pooled event. Records never move once allocated, so the callback
@@ -79,14 +83,14 @@ struct EventRecord {
   std::uint64_t seq = 0;
   std::uint32_t gen = 0;          // bumped on fire/cancel/free
   EventLocation loc = EventLocation::kFree;
-  std::uint32_t prev = kInvalidSlot;  // wheel-bucket list / unused
-  std::uint32_t next = kInvalidSlot;  // wheel-bucket list / free list
-  std::uint32_t bucket = 0;           // wheel index while loc == kWheel
+  std::uint32_t prev = kInvalidSlot;  // wheel-slot list / unused
+  std::uint32_t next = kInvalidSlot;  // wheel-slot list / free list
+  std::uint32_t wheel_slot = 0;       // flat wheel index while kWheel
   EventCallback fn;                   // empty while the record is free
 };
 
-/// Key stored in the near/far heaps. Stale keys (generation mismatch)
-/// are skimmed when they surface.
+/// Key stored in the near heap. Stale keys (generation mismatch) are
+/// skimmed when they surface.
 struct HeapKey {
   SimTime when;
   std::uint64_t seq;
@@ -106,11 +110,16 @@ struct KeyLater {
 /// cancel()/pending() even after its queue is destroyed.
 class EventCore {
  public:
-  static constexpr int kBucketShift = 12;           // 4096 ns per bucket
-  static constexpr std::uint32_t kWheelBuckets = 256;
+  static constexpr int kBucketShift = 12;  // 4096 ns per bucket
+  static constexpr int kLevelBits = 8;
+  static constexpr std::uint32_t kWheelSlots = 1u << kLevelBits;
+  // 7 x 8 bits cover all 51 bucket-index bits of a non-negative SimTime.
+  static constexpr int kWheelLevels = 7;
+  static_assert(kWheelLevels * kLevelBits >= 63 - kBucketShift,
+                "the wheel must cover every non-negative SimTime");
   static constexpr std::uint32_t kSlabSize = 256;
 
-  EventCore() = default;
+  EventCore();
   ~EventCore() { close(); }
   EventCore(const EventCore&) = delete;
   EventCore& operator=(const EventCore&) = delete;
@@ -141,13 +150,13 @@ class EventCore {
     return slabs_[slot / kSlabSize]->records[slot % kSlabSize];
   }
 
-  /// Files a freshly constructed event into the calendar (near heap,
-  /// wheel bucket, or far heap by `when`) and stamps its sequence.
+  /// Files a freshly constructed event into the calendar (near heap or
+  /// a wheel slot, by `when`) and stamps its sequence.
   void enqueue(std::uint32_t slot, SimTime when);
 
   /// O(1): destroys the callback, bumps the generation and reclaims the
-  /// slot. Wheel entries unlink immediately; heap entries leave a stale
-  /// key behind.
+  /// slot. Wheel entries unlink immediately; near-heap entries leave a
+  /// stale key behind.
   void cancel(std::uint32_t slot, std::uint32_t gen);
 
   bool pending(std::uint32_t slot, std::uint32_t gen) const {
@@ -156,8 +165,12 @@ class EventCore {
   }
 
   bool has_next() const { return live_ > 0; }
-  SimTime next_time();
-  SimTime pop_and_run();
+
+  /// Runs the earliest live event if one is due at or before `deadline`,
+  /// first setting `clock` to its time so the callback observes its own
+  /// timestamp. Returns false, running nothing, when the queue is empty
+  /// or the earliest event is later than `deadline`.
+  bool run_next(SimTime deadline, SimTime& clock);
 
   std::size_t live() const { return live_; }
   const EventQueueStats& stats() const { return stats_; }
@@ -167,43 +180,44 @@ class EventCore {
   struct Slab {
     EventRecord records[kSlabSize];
   };
-  struct Bucket {
-    std::uint32_t head = kInvalidSlot;
-  };
+  static constexpr std::uint32_t kWheelSize = kWheelLevels * kWheelSlots;
+  static constexpr std::uint32_t kOccupiedWords = kWheelSize / 64;
+  static_assert(kOccupiedWords <= 32, "summary word holds one bit per word");
 
   static std::uint64_t bucket_index(SimTime when) {
     return static_cast<std::uint64_t>(when) >> kBucketShift;
   }
 
   void free_slot(std::uint32_t slot);
-  void unlink_from_wheel(EventRecord& r, std::uint32_t slot);
   void push_near(std::uint32_t slot, EventRecord& r);
-  void push_far(std::uint32_t slot, EventRecord& r);
-  void link_wheel(std::uint32_t slot, EventRecord& r);
+  /// Files `r` into the near heap if its bucket is at or before the
+  /// cursor, else into the wheel level of the highest bit group in which
+  /// its bucket differs from the cursor. Returns that level, or -1 for
+  /// the near heap.
+  int file(std::uint32_t slot, EventRecord& r);
+  void unlink_from_wheel(EventRecord& r, std::uint32_t slot);
 
-  /// Drops stale keys off a heap top; compacts when >half stale.
-  void skim(std::vector<HeapKey>& heap, std::size_t& stale);
-  void maybe_compact(std::vector<HeapKey>& heap, std::size_t& stale);
+  /// Drops stale keys off the near-heap top.
+  void skim_near();
+  /// Rebuilds the near heap without stale keys once more than half are.
+  void maybe_compact_near();
 
-  /// Advances the wheel cursor until the near heap holds the earliest
-  /// live event. Requires live_ > 0.
+  /// Advances the cursor, cascading wheel slots, until the near heap
+  /// holds the earliest live event. Requires live_ > 0.
   void refill_near();
-  /// Pulls far-heap events that now fall inside the wheel window.
-  void migrate_far();
-  /// Absolute index of the next occupied wheel bucket after cursor_, or
-  /// 0 with `found=false` when the wheel is empty.
-  std::uint64_t next_occupied_bucket(bool& found) const;
 
   std::vector<std::unique_ptr<Slab>> slabs_;
   std::uint32_t free_head_ = kInvalidSlot;
 
   std::vector<HeapKey> near_;  // events with bucket_index(when) <= cursor_
   std::size_t near_stale_ = 0;
-  std::vector<HeapKey> far_;   // events at or past the wheel horizon
-  std::size_t far_stale_ = 0;
-  Bucket wheel_[kWheelBuckets];
-  std::uint64_t occupied_[kWheelBuckets / 64] = {};
-  std::uint64_t cursor_ = 0;   // absolute bucket index currently drained
+  // Level L, slot s is wheel_[L * kWheelSlots + s]: the list head of the
+  // events whose bucket matches the cursor above bit group L and has s in
+  // group L. Invariant: s is greater than the cursor's group L.
+  std::uint32_t wheel_[kWheelSize];
+  std::uint64_t occupied_[kOccupiedWords] = {};  // one bit per wheel slot
+  std::uint32_t occupied_words_ = 0;  // one bit per non-zero occupied_ word
+  std::uint64_t cursor_ = 0;  // absolute bucket index currently drained
 
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
@@ -276,11 +290,14 @@ class EventQueue {
   /// True if a live (non-cancelled) event remains.
   bool has_next() const { return core_->has_next(); }
 
-  /// Time of the earliest live event; `has_next()` must be true.
-  SimTime next_time() { return core_->next_time(); }
+  /// See detail::EventCore::run_next: the simulator's one-peek step.
+  bool run_next(SimTime deadline, SimTime& clock) {
+    return core_->run_next(deadline, clock);
+  }
 
-  /// Pops and runs the earliest live event, returning its time.
-  SimTime pop_and_run() { return core_->pop_and_run(); }
+  /// Pops and runs the earliest live event, returning its time;
+  /// `has_next()` must be true.
+  SimTime pop_and_run();
 
   /// Live (scheduled, not cancelled) events.
   size_t size() const { return core_->live(); }

@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <limits>
+
 #include "base/assert.h"
 
 namespace es2 {
@@ -8,13 +10,10 @@ Simulator::Simulator(std::uint64_t seed) : seed_(seed) {}
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
   std::uint64_t executed = 0;
-  while (queue_.has_next() && queue_.next_time() <= deadline) {
-    // Advance the clock BEFORE running the event, so callbacks observing
-    // now() (and deferring follow-up work) see the event's own timestamp.
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
-    ++executed;
-  }
+  // run_next advances the clock BEFORE running the event, so callbacks
+  // observing now() (and deferring follow-up work) see the event's own
+  // timestamp.
+  while (queue_.run_next(deadline, now_)) ++executed;
   // Advance the clock to the deadline even if the queue ran dry, so that
   // back-to-back run_for() calls measure contiguous wall spans.
   if (now_ < deadline) now_ = deadline;
@@ -25,10 +24,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
 std::uint64_t Simulator::run_until_capped(SimTime deadline,
                                           std::uint64_t max_events) {
   std::uint64_t executed = 0;
-  while (executed < max_events && queue_.has_next() &&
-         queue_.next_time() <= deadline) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+  while (executed < max_events && queue_.run_next(deadline, now_)) {
     ++executed;
   }
   // Only a run that genuinely drained the span may claim the deadline as
@@ -40,9 +36,7 @@ std::uint64_t Simulator::run_until_capped(SimTime deadline,
 
 std::uint64_t Simulator::run_to_completion() {
   std::uint64_t executed = 0;
-  while (queue_.has_next()) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+  while (queue_.run_next(std::numeric_limits<SimTime>::max(), now_)) {
     ++executed;
   }
   events_executed_ += executed;

@@ -1,5 +1,5 @@
 // Contract tests for the zero-allocation event core: ordering across the
-// calendar layers (near heap / wheel / overflow heap), generation-handle
+// calendar layers (near heap / timing-wheel levels), generation-handle
 // cancellation semantics, handle-outlives-queue safety, determinism under
 // interleaved cancels, inline-callback storage, the continuation type and
 // pooled packet handles the packet path is built on, and the zero-steady-
@@ -10,8 +10,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -60,8 +63,8 @@ static_assert(sizeof(PacketPtr) == sizeof(void*),
 // ---------------------------------------------------------------------------
 
 TEST(EventCore, OrderingAcrossNearWheelAndFarLayers) {
-  // Times chosen to land in all three layers: same-bucket (near), within
-  // the ~1ms wheel horizon, and far beyond it.
+  // Times chosen to land in the near heap (same bucket), wheel level 0
+  // (within ~1 ms) and the levels above it.
   Simulator sim;
   std::vector<SimTime> fired;
   const std::vector<SimTime> times = {
@@ -85,7 +88,8 @@ TEST(EventCore, OrderingAcrossNearWheelAndFarLayers) {
 
 TEST(EventCore, SameInstantFifoAcrossLayerMigration) {
   // Events scheduled at the same far-future instant must fire in
-  // scheduling order even after migrating far -> wheel -> near.
+  // scheduling order even after cascading down the wheel levels into
+  // the near heap.
   Simulator sim;
   std::vector<int> order;
   const SimTime t = sec(3);  // far beyond the wheel horizon
@@ -149,13 +153,15 @@ TEST(EventCore, CancelReclaimsSlotImmediately) {
 }
 
 TEST(EventCore, HeapCompactionDuringCancelStormKeepsStaleCountExact) {
-  // Regression: cancel() used to run maybe_compact() BEFORE free_slot()
+  // Regression: cancel() used to run the compaction BEFORE free_slot()
   // bumped the cancelled key's generation, so that key looked live,
   // survived the pass, and the stale counter reset to 0 — when the key
-  // later surfaced, skim() underflowed the counter (Debug builds abort
-  // on ES2_DCHECK(stale > 0); NDEBUG builds wrap the size_t). Cancelling
-  // everything in a large batch makes the final skim walk exactly as
-  // many dead keys as the counter recorded, so any miscount trips.
+  // later surfaced, the skim underflowed the counter (Debug builds abort
+  // on ES2_DCHECK(near_stale_ > 0); NDEBUG builds wrap the size_t).
+  // Cancelling everything in a large batch makes the final skim walk
+  // exactly as many dead keys as the counter recorded, so any miscount
+  // trips. The far timers ride along: wheel entries unlink on cancel and
+  // must leave the near heap's count untouched.
   Simulator sim;
   const EventQueueStats& stats = sim.queue().stats();
   for (int round = 0; round < 4; ++round) {
@@ -163,7 +169,7 @@ TEST(EventCore, HeapCompactionDuringCancelStormKeepsStaleCountExact) {
     std::vector<EventHandle> far_events;
     for (int i = 0; i < 300; ++i) {
       near_events.push_back(sim.after(1, [] {}));      // near heap
-      far_events.push_back(sim.after(sec(3), [] {}));  // far overflow heap
+      far_events.push_back(sim.after(sec(3), [] {}));  // wheel level 2
     }
     for (EventHandle& h : near_events) h.cancel();
     for (EventHandle& h : far_events) h.cancel();
@@ -364,6 +370,168 @@ TEST(EventCore, MatchesReferenceModelUnderRandomOps) {
 }
 
 // ---------------------------------------------------------------------------
+// Differential test across wheel levels: callbacks schedule and cancel
+// while the clock advances, with delays at every level boundary, replayed
+// against a reference ordered by (when, seq).
+// ---------------------------------------------------------------------------
+
+namespace levels {
+
+constexpr SimTime kMaxTime = std::numeric_limits<SimTime>::max();
+
+/// Delays at every wheel-level boundary, 2^(12+8k) ns ± one 4096-ns
+/// bucket for k = 0..6, plus same-bucket delays.
+SimDuration boundary_delay(Rng& rng) {
+  const std::uint64_t r = rng.next_u64();
+  if (r % 8 == 0) return static_cast<SimDuration>((r >> 8) % 4096);
+  const int k = static_cast<int>((r >> 3) % 7);
+  constexpr SimDuration kOffsets[] = {-4096, -1, 0, 1, 4096};
+  return (SimDuration{1} << (12 + 8 * k)) + kOffsets[(r >> 16) % 5];
+}
+
+/// The script both queues replay: each fire logs (now, id), then
+/// schedules one or two children and sometimes cancels a random
+/// outstanding event. Both replays draw the same numbers as long as they
+/// fire the same events in the same order.
+class Script {
+ public:
+  explicit Script(std::uint64_t seed) : rng_(Rng::stream(seed, "levels")) {}
+
+  template <typename Queue>
+  void on_fire(Queue& q, int id, SimTime now) {
+    log.emplace_back(now, id);
+    forget(id);
+    const int children = budget_ > 0 ? 1 + static_cast<int>(rng_.next_u64() % 2) : 0;
+    for (int c = 0; c < children; ++c) schedule(q, now);
+    if (!outstanding_.empty() && rng_.next_u64() % 3 == 0) {
+      const int victim =
+          outstanding_[rng_.next_u64() % outstanding_.size()];
+      if (when_[static_cast<std::size_t>(victim)] - now >= SimDuration{1} << 20) {
+        ++far_cancels;  // >= 256 buckets ahead: filed above level 0
+      }
+      q.cancel(victim);
+      forget(victim);
+    }
+  }
+
+  /// Schedules one event `boundary_delay` after `now`, clamped to the
+  /// largest SimTime.
+  template <typename Queue>
+  void schedule(Queue& q, SimTime now) {
+    const SimDuration d = boundary_delay(rng_);
+    const SimTime when = d > kMaxTime - now ? kMaxTime : now + d;
+    const int id = static_cast<int>(when_.size());
+    when_.push_back(when);
+    pos_.push_back(outstanding_.size());
+    outstanding_.push_back(id);
+    --budget_;
+    q.schedule(when, id);
+  }
+
+  SimDuration next_span() { return boundary_delay(rng_); }
+
+  std::vector<std::pair<SimTime, int>> log;
+  int far_cancels = 0;
+
+ private:
+  void forget(int id) {
+    const std::size_t at = pos_[static_cast<std::size_t>(id)];
+    const int last = outstanding_.back();
+    outstanding_[at] = last;
+    pos_[static_cast<std::size_t>(last)] = at;
+    outstanding_.pop_back();
+  }
+
+  Rng rng_;
+  int budget_ = 6000;
+  std::vector<SimTime> when_;
+  std::vector<std::size_t> pos_;
+  std::vector<int> outstanding_;
+};
+
+/// The production queue behind Simulator.
+struct WheelQueue {
+  Simulator sim;
+  Script& script;
+  std::vector<EventHandle> handles;
+
+  void schedule(SimTime when, int id) {
+    handles.resize(static_cast<std::size_t>(id) + 1);
+    handles[static_cast<std::size_t>(id)] =
+        sim.at(when, [this, id] { script.on_fire(*this, id, sim.now()); });
+  }
+  void cancel(int id) { handles[static_cast<std::size_t>(id)].cancel(); }
+  SimTime run_until(SimTime deadline) {
+    sim.run_until(deadline);
+    return sim.now();
+  }
+};
+
+/// The reference: an ordered set keyed by (when, seq).
+struct ReferenceQueue {
+  Script& script;
+  std::set<std::tuple<SimTime, std::uint64_t, int>> pending;
+  std::vector<std::tuple<SimTime, std::uint64_t, int>> key_of;
+  SimTime now = 0;
+
+  void schedule(SimTime when, int id) {
+    key_of.emplace_back(when, key_of.size(), id);
+    pending.insert(key_of.back());
+  }
+  void cancel(int id) { pending.erase(key_of[static_cast<std::size_t>(id)]); }
+  SimTime run_until(SimTime deadline) {
+    while (!pending.empty() && std::get<0>(*pending.begin()) <= deadline) {
+      const auto [when, seq, id] = *pending.begin();
+      pending.erase(pending.begin());
+      now = when;
+      script.on_fire(*this, id, now);
+    }
+    now = std::max(now, deadline);
+    return now;
+  }
+};
+
+/// Seeds a few events, then runs in spans of boundary-sized length; at
+/// each span end (the clock at the deadline, the cursor possibly already
+/// past it) the script schedules one more event from outside any
+/// callback. Ends by draining the queue.
+template <typename Queue>
+void replay(Queue& q, Script& script) {
+  SimTime now = 0;
+  for (int i = 0; i < 16; ++i) script.schedule(q, now);
+  for (int step = 0; step < 400; ++step) {
+    const SimDuration span = script.next_span();
+    now = q.run_until(span > kMaxTime - now ? kMaxTime : now + span);
+    script.schedule(q, now);
+  }
+  q.run_until(kMaxTime);
+}
+
+TEST(EventCore, MatchesReferenceAcrossWheelLevelsWhileClockAdvances) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Script wheel_script(seed);
+    WheelQueue wheel{Simulator(seed), wheel_script, {}};
+    replay(wheel, wheel_script);
+    Script ref_script(seed);
+    ReferenceQueue ref{ref_script, {}, {}, 0};
+    replay(ref, ref_script);
+
+    ASSERT_FALSE(ref_script.log.empty());
+    EXPECT_EQ(wheel_script.log, ref_script.log) << "seed " << seed;
+    EXPECT_EQ(wheel.sim.queue().size(), 0u);
+    const EventQueueStats& stats = wheel.sim.queue().stats();
+    EXPECT_GT(stats.far_hits, 0u);
+    EXPECT_GT(stats.cascades, 0u);
+    EXPECT_GT(wheel_script.far_cancels, 0) << "no level >= 1 cancel";
+    // The clock reached the top wheel level.
+    EXPECT_GE(ref_script.log.back().first, SimTime{1} << (12 + 8 * 6))
+        << "seed " << seed;
+  }
+}
+
+}  // namespace levels
+
+// ---------------------------------------------------------------------------
 // Perf counters
 // ---------------------------------------------------------------------------
 
@@ -371,8 +539,8 @@ TEST(EventCore, StatsCountersTrackScheduleCancelFireAndLayers) {
   Simulator sim;
   const EventQueueStats& stats = sim.queue().stats();
   sim.at(0, [] {});                      // near (bucket 0)
-  sim.at(usec(100), [] {});              // wheel
-  EventHandle far = sim.at(sec(4), [] {});  // far heap
+  sim.at(usec(100), [] {});              // wheel level 0
+  EventHandle far = sim.at(sec(4), [] {});  // wheel level 2
   EXPECT_EQ(stats.scheduled, 3u);
   EXPECT_EQ(stats.near_hits, 1u);
   EXPECT_EQ(stats.wheel_hits, 1u);
@@ -393,8 +561,8 @@ TEST(EventCore, SteadyStateScheduleCancelFireAllocatesNothing) {
   Simulator sim;
   std::vector<EventHandle> handles;
   handles.reserve(1024);
-  // One churn round exercises every layer: same-instant defers, wheel
-  // inserts, far-heap inserts, cancels of each, fires of the rest.
+  // One churn round exercises every layer: same-instant defers, level-0
+  // and level-2 wheel inserts, cancels of each, fires of the rest.
   auto churn = [&] {
     for (int i = 0; i < 1000; ++i) {
       sim.after(static_cast<SimDuration>(i % 200) * usec(1) + 1, [] {});
@@ -725,8 +893,8 @@ TEST(WholeCellAllocations, MitigatedStormCollapseIsBoundedByPoolGrowth) {
   // run_storm's world with the collapse ramp, shortened; the overload
   // ladder is armed. A storm drives pending SYN timers, in-flight packets
   // and continuations to new highs, so the event pool and the block pool
-  // carve fresh slabs (and their index vectors and the calendar heaps
-  // double), and the pending table makes its one full-size reservation.
+  // carve fresh slabs (and their index vectors and the near heap double),
+  // and the pending table makes its one full-size reservation.
   // Nothing allocates per packet or per connection.
   TestbedOptions o = cell_options(Es2Config::pi_h_r(), false);
   o.guest_params.overload_mitigation = true;
@@ -770,8 +938,8 @@ TEST(WholeCellAllocations, MitigatedStormCollapseIsBoundedByPoolGrowth) {
   EXPECT_GT(client.attempted(), 10000) << "the storm must actually arrive";
   EXPECT_GT(tb.frontend().livelock_detections(), 0);
   // "Other" is the pending table's one reservation plus capacity
-  // doublings, each logarithmic in its high-water mark: the calendar heaps,
-  // the event slab index, and the server's accept/backlog FIFOs (about 60
+  // doublings, each logarithmic in its high-water mark: the near heap,
+  // the event slab index, and the server's accept/backlog FIFOs (about 50
   // here, against ~480k packets).
   constexpr std::int64_t kReservationsAndDoublings = 96;
   EXPECT_LE(allocs, event_slabs + pool_slabs + kReservationsAndDoublings);

@@ -49,6 +49,17 @@ bool load_series(const char* path, HashSeries* out) {
   return true;
 }
 
+int usage(const char* bad) {
+  if (bad != nullptr) {
+    std::fprintf(stderr, "divergence_bisect: unexpected argument '%s'\n", bad);
+  }
+  std::fprintf(stderr,
+               "usage: divergence_bisect A.json B.json [--quiet]\n"
+               "  A/B: es2-hash-v1 epoch-hash series "
+               "(bench --hash-epochs=<path>)\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,22 +69,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
-    } else if (path_a == nullptr) {
-      path_a = argv[i];
-    } else if (path_b == nullptr) {
-      path_b = argv[i];
+    } else if (argv[i][0] == '-' || path_b != nullptr) {
+      return usage(argv[i]);  // an unknown flag or a third operand
     } else {
-      path_a = nullptr;  // too many operands
-      break;
+      (path_a == nullptr ? path_a : path_b) = argv[i];
     }
   }
-  if (path_a == nullptr || path_b == nullptr) {
-    std::fprintf(stderr,
-                 "usage: divergence_bisect A.json B.json [--quiet]\n"
-                 "  A/B: es2-hash-v1 epoch-hash series "
-                 "(bench --hash-epochs=<path>)\n");
-    return 2;
-  }
+  if (path_b == nullptr) return usage(nullptr);
 
   HashSeries a, b;
   if (!load_series(path_a, &a) || !load_series(path_b, &b)) return 2;

@@ -16,8 +16,13 @@
 //
 // Exit codes: 0 = ok (diff mode: no component regressed by more than
 // --threshold), 1 = diff found a regression past the threshold, 2 = usage
-// or unreadable/malformed input.
+// (an unknown flag, a wrong operand count or a malformed number) or
+// unreadable/malformed input.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -57,7 +62,35 @@ bool load_summary(const char* path, BlameSummary* out) {
   return true;
 }
 
-int usage() {
+/// Whole-string parses of a non-negative number: false on empty input,
+/// trailing junk, overflow or a negative or non-finite value.
+bool parse_count(const char* text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 0 || v > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_real(const char* text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+int usage(const char* bad = nullptr) {
+  if (bad != nullptr) {
+    std::fprintf(stderr, "latency_blame: bad argument '%s'\n", bad);
+  }
   std::fprintf(stderr,
                "usage: latency_blame <trace.bin> [--json=<out.json>] "
                "[--top=N] [--k=F]\n"
@@ -76,22 +109,25 @@ int main(int argc, char** argv) {
   double threshold = 0.05;
   BlameOptions options;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--diff") == 0) {
+    const char* arg = argv[i];
+    bool ok = true;
+    if (std::strcmp(arg, "--diff") == 0) {
       diff = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_out = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--top=", 6) == 0) {
-      options.ledger_top_n =
-          static_cast<int>(std::strtol(argv[i] + 6, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--k=", 4) == 0) {
-      options.ledger_k = std::strtod(argv[i] + 4, nullptr);
-    } else if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
-      threshold = std::strtod(argv[i] + 12, nullptr);
-    } else if (argv[i][0] == '-') {
-      return usage();
+    } else if (std::strncmp(arg, "--json=", 7) == 0) {
+      json_out = arg + 7;
+      ok = !json_out.empty();
+    } else if (std::strncmp(arg, "--top=", 6) == 0) {
+      ok = parse_count(arg + 6, &options.ledger_top_n);
+    } else if (std::strncmp(arg, "--k=", 4) == 0) {
+      ok = parse_real(arg + 4, &options.ledger_k);
+    } else if (std::strncmp(arg, "--threshold=", 12) == 0) {
+      ok = parse_real(arg + 12, &threshold);
+    } else if (arg[0] == '-') {
+      ok = false;
     } else {
-      inputs.push_back(argv[i]);
+      inputs.push_back(arg);
     }
+    if (!ok) return usage(arg);
   }
 
   if (diff) {
