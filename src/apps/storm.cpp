@@ -147,7 +147,8 @@ void StormClient::open_connection() {
     ++pending_overflows_;
   } else {
     ++attempted_;
-    send_syn(conn, now, 0);
+    pending_.emplace(conn, now);
+    send_syn(conn, 0);
   }
   const double rate = shape_.rate_at(now - started_at_);
   const auto interval = static_cast<SimDuration>(1e9 / rate);
@@ -155,10 +156,7 @@ void StormClient::open_connection() {
                     [this] { open_connection(); });
 }
 
-void StormClient::send_syn(std::uint64_t conn_id, SimTime first_attempt,
-                           int tries) {
-  if (!running_) return;
-  pending_.emplace(conn_id, first_attempt);
+void StormClient::send_syn(std::uint64_t conn_id, int tries) {
   Packet syn;
   syn.proto = Proto::kTcp;
   syn.flow = listen_flow_;
@@ -169,19 +167,35 @@ void StormClient::send_syn(std::uint64_t conn_id, SimTime first_attempt,
   syn.flags.syn = true;
   syn.probe_id = conn_id;
   peer_.send(make_packet(std::move(syn)));
-  peer_.sim().after(syn_rto_, [this, conn_id, first_attempt, tries] {
-    if (!running_) return;
-    if (pending_.find(conn_id) == nullptr) return;  // established meanwhile
-    pending_.erase(conn_id);
-    if (tries + 1 >= max_retries_) {
-      // Retry budget exhausted: the user gave up. This is what eventually
-      // deflates the retransmit flywheel once the ramp ends.
-      ++abandoned_;
-      return;
-    }
-    ++retries_;
-    send_syn(conn_id, first_attempt, tries + 1);
-  });
+  Simulator& sim = peer_.sim();
+  if (rto_fifo_.size() == kRtoFifoSmall) {
+    rto_fifo_.reserve(2 * static_cast<std::size_t>(max_pending_));
+  }
+  rto_fifo_.push_back(
+      RtoEntry{sim.now() + syn_rto_, sim.reserve_order(), conn_id, tries});
+  if (rto_fifo_.size() == 1) arm_rto();
+}
+
+void StormClient::arm_rto() {
+  const RtoEntry& head = rto_fifo_.front();
+  peer_.sim().at_reserved(head.deadline, head.order, [this] { on_rto(); });
+}
+
+void StormClient::on_rto() {
+  const RtoEntry e = rto_fifo_.take_front();
+  if (!rto_fifo_.empty()) arm_rto();
+  if (!running_) return;
+  const SimTime* first_syn = pending_.find(e.conn_id);
+  if (first_syn == nullptr) return;  // established meanwhile
+  if (e.tries + 1 >= max_retries_) {
+    // Retry budget exhausted: the user gave up. This is what eventually
+    // deflates the retransmit flywheel once the ramp ends.
+    pending_.erase(e.conn_id);
+    ++abandoned_;
+    return;
+  }
+  ++retries_;
+  send_syn(e.conn_id, e.tries + 1);
 }
 
 void StormClient::on_packet(const PacketPtr& packet) {

@@ -10,6 +10,13 @@
 // aggressive RTO from a bounded pending table, which is what sustains the
 // offered load once the server stops answering — the livelock flywheel.
 //
+// The RTO is a constant, so SYN deadlines come out in send order: the
+// client keeps its in-flight SYNs in a FIFO with a single timer on the
+// head, not one event per SYN. Each SYN reserves its event order right
+// after it is sent and the head timer is filed under that order, so every
+// timeout fires at the (time, sequence) position a timer scheduled at
+// send time would take.
+//
 // Everything is deterministic: no RNG, shaped interarrival times and a
 // square-wave burst gate only, so same-seed storm runs are bit-identical.
 #pragma once
@@ -19,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/ring.h"
 #include "net/peer.h"
 #include "stats/histogram.h"
 
@@ -61,6 +69,8 @@ class StormClient : public Snapshottable {
   /// Attempts never made because the pending table was full (client-side
   /// port exhaustion — the client's own finite-capacity bound).
   std::int64_t pending_overflows() const { return pending_overflows_; }
+  /// SYNs whose timeout has not fired yet.
+  std::size_t syns_awaiting_rto() const { return rto_fifo_.size(); }
   Bytes goodput_bytes() const { return goodput_bytes_; }
   const Histogram& connect_time() const { return connect_time_; }
 
@@ -117,8 +127,22 @@ class StormClient : public Snapshottable {
     std::size_t size_ = 0;
   };
 
+  /// One sent SYN awaiting its timeout.
+  struct RtoEntry {
+    SimTime deadline = 0;
+    std::uint64_t order = 0;  // event order reserved when the SYN was sent
+    std::uint64_t conn_id = 0;
+    int tries = 0;
+  };
+  /// The FIFO grows by doubling up to this size, then is reserved once
+  /// for 2 x max_pending entries (calm arrivals need little).
+  static constexpr std::size_t kRtoFifoSmall = 512;
+
   void open_connection();
-  void send_syn(std::uint64_t conn_id, SimTime first_attempt, int tries);
+  void send_syn(std::uint64_t conn_id, int tries);
+  /// Files the one timeout event on the FIFO head.
+  void arm_rto();
+  void on_rto();
   void on_packet(const PacketPtr& packet);
 
   PeerHost& peer_;
@@ -142,6 +166,10 @@ class StormClient : public Snapshottable {
   SimTime window_start_ = 0;
   Histogram connect_time_;
   PendingTable pending_;  // conn -> first SYN
+  // Every sent SYN until its timeout fires (also after stop()), in send
+  // order. Not serialized: it stands in for scheduled callbacks, which
+  // restore re-executes (DESIGN.md §4f).
+  Ring<RtoEntry> rto_fifo_;
 };
 
 }  // namespace es2

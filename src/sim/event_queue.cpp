@@ -122,11 +122,11 @@ void EventCore::unlink_from_wheel(EventRecord& r, std::uint32_t slot) {
   }
 }
 
-void EventCore::enqueue(std::uint32_t slot, SimTime when) {
+void EventCore::enqueue(std::uint32_t slot, SimTime when, std::uint64_t seq) {
   ES2_CHECK_MSG(when >= 0, "cannot schedule before time 0");
   EventRecord& r = record(slot);
   r.when = when;
-  r.seq = next_seq_++;
+  r.seq = seq;
   stats_.count_placement(file(slot, r));
   stats_.scheduled++;
   ++live_;

@@ -31,7 +31,10 @@
 //    or into the near heap once its bucket is the cursor. Every event
 //    carries a global sequence number and the near heap orders by
 //    (when, seq), so firing order is exactly the seed's deterministic
-//    (time, insertion-order) contract, independent of wheel layout.
+//    (time, insertion-order) contract, independent of wheel layout. A
+//    sequence number may also be reserved ahead and used later
+//    (`reserve_order` / `schedule_reserved`): the event then orders as if
+//    it had been scheduled at reservation time.
 //
 // Wheel entries cancel by an O(1) unlink. Cancelled events in the near
 // heap leave a stale 24-byte key which is dropped when it surfaces; the
@@ -47,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/assert.h"
 #include "base/units.h"
 #include "sim/callback.h"
 #include "stats/event_stats.h"
@@ -151,8 +155,21 @@ class EventCore {
   }
 
   /// Files a freshly constructed event into the calendar (near heap or
-  /// a wheel slot, by `when`) and stamps its sequence.
-  void enqueue(std::uint32_t slot, SimTime when);
+  /// a wheel slot, by `when`) under the next sequence number.
+  void enqueue(std::uint32_t slot, SimTime when) {
+    enqueue(slot, when, next_seq_++);
+  }
+
+  /// Files it under `seq`, a number taken earlier by reserve_order(): the
+  /// event orders against same-instant events as if it had been enqueued
+  /// when the number was taken.
+  void enqueue(std::uint32_t slot, SimTime when, std::uint64_t seq);
+
+  /// Takes the sequence number the next enqueue would get.
+  std::uint64_t reserve_order() { return next_seq_++; }
+
+  /// True if `seq` has been handed out, by an enqueue or a reservation.
+  bool issued(std::uint64_t seq) const { return seq < next_seq_; }
 
   /// O(1): destroys the callback, bumps the generation and reclaims the
   /// slot. Wheel entries unlink immediately; near-heap entries leave a
@@ -266,25 +283,23 @@ class EventQueue {
   /// larger ones are boxed in a pool block and counted.
   template <typename F>
   EventHandle schedule(SimTime when, F&& fn) {
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_v<Fn&>, "callback must be invocable");
-    detail::EventCore& core = *core_;
-    const std::uint32_t slot = core.acquire_slot();
-    detail::EventRecord& r = core.record(slot);
-    // Copy-construction from an lvalue F (or the box allocation) may
-    // throw even when the move is noexcept; give the slot back on unwind
-    // so it is not stranded off both the free list and the calendar.
-    try {
-      r.fn.emplace(std::forward<F>(fn));
-    } catch (...) {
-      core.release_unqueued_slot(slot);
-      throw;
-    }
-    if constexpr (!detail::EventCallback::fits_inline<Fn>) {
-      core.stats().boxed_callbacks++;
-    }
-    core.enqueue(slot, when);
-    return EventHandle(core_, slot, r.gen);
+    const std::uint32_t slot = construct(std::forward<F>(fn));
+    core_->enqueue(slot, when);
+    return EventHandle(core_, slot, core_->record(slot).gen);
+  }
+
+  /// Takes the sequence number the next scheduled event would get.
+  std::uint64_t reserve_order() { return core_->reserve_order(); }
+
+  /// Schedules `fn` at `when` under `order`, a number taken by
+  /// reserve_order() and used at most once: it fires among same-instant
+  /// events as if it had been scheduled when the order was reserved.
+  template <typename F>
+  EventHandle schedule_reserved(SimTime when, std::uint64_t order, F&& fn) {
+    ES2_CHECK_MSG(core_->issued(order), "event order was never reserved");
+    const std::uint32_t slot = construct(std::forward<F>(fn));
+    core_->enqueue(slot, when, order);
+    return EventHandle(core_, slot, core_->record(slot).gen);
   }
 
   /// True if a live (non-cancelled) event remains.
@@ -306,6 +321,28 @@ class EventQueue {
   const EventQueueStats& stats() const { return core_->stats(); }
 
  private:
+  /// Takes a pooled record and constructs `fn` in it; the caller files it.
+  template <typename F>
+  std::uint32_t construct(F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_v<Fn&>, "callback must be invocable");
+    detail::EventCore& core = *core_;
+    const std::uint32_t slot = core.acquire_slot();
+    // Copy-construction from an lvalue F (or the box allocation) may
+    // throw even when the move is noexcept; give the slot back on unwind
+    // so it is not stranded off both the free list and the calendar.
+    try {
+      core.record(slot).fn.emplace(std::forward<F>(fn));
+    } catch (...) {
+      core.release_unqueued_slot(slot);
+      throw;
+    }
+    if constexpr (!detail::EventCallback::fits_inline<Fn>) {
+      core.stats().boxed_callbacks++;
+    }
+    return slot;
+  }
+
   std::shared_ptr<detail::EventCore> core_;
 };
 

@@ -1,9 +1,12 @@
 // The simulation kernel: a clock plus the event queue.
 //
 // Every model object holds a `Simulator&` and advances the world purely by
-// scheduling callbacks. One `Simulator` is one independent experiment; the
-// harness runs many of them concurrently on worker threads, which is safe
-// because a Simulator shares no mutable state with any other.
+// scheduling callbacks. Events at one instant fire in scheduling order; an
+// order can also be reserved now and used by an event filed later
+// (`reserve_order` / `at_reserved`). One `Simulator` is one independent
+// experiment; the harness runs many of them concurrently on worker
+// threads, which is safe because a Simulator shares no mutable state with
+// any other.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +66,27 @@ class Simulator : public Snapshottable {
   template <typename F>
   EventHandle defer(F&& fn) {
     return at(now_, std::forward<F>(fn));
+  }
+
+  /// Takes the event order (sequence number) the next scheduled event
+  /// would get, for an event that is known now but filed later with
+  /// at_reserved().
+  std::uint64_t reserve_order() { return queue_.reserve_order(); }
+
+  /// Schedules `fn` at `when` (>= now()) under `order`, taken earlier by
+  /// reserve_order() and used at most once. The event orders against
+  /// same-instant events as if at() had been called at reservation time;
+  /// firing is identical to that as long as it is filed before any event
+  /// ordered after it has fired. This lets a model keep one timer on the
+  /// head of a FIFO of constant-delay deadlines (apps/storm.cpp) instead
+  /// of one event per entry, with byte-identical firing order.
+  template <typename F>
+  EventHandle at_reserved(SimTime when, std::uint64_t order, F&& fn) {
+    static_assert(detail::EventCallback::fits_inline<std::decay_t<F>>,
+                  "callback captures exceed the inline event buffer "
+                  "(detail::kInlineCallbackCapacity)");
+    ES2_CHECK_MSG(when >= now_, "cannot schedule into the past");
+    return queue_.schedule_reserved(when, order, std::forward<F>(fn));
   }
 
   /// Runs events until the queue empties or the clock passes `deadline`.

@@ -1,5 +1,6 @@
 #include "snapshot/state_hash.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,18 @@ bool hex_to_hash(const std::string& s, std::uint64_t* out) {
   }
   *out = v;
   return true;
+}
+
+// World digest folded from (name, digest) pairs — identical to
+// SnapshotWriter::world_hash over the same sections.
+std::uint64_t fold_world(const std::vector<std::string>& names,
+                         const std::vector<std::uint64_t>& components) {
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    h = fnv1a(names[i].data(), names[i].size(), h);
+    h = fnv1a(&components[i], sizeof(components[i]), h);
+  }
+  return h;
 }
 
 }  // namespace
@@ -236,6 +249,29 @@ Divergence find_divergence(const HashSeries& a, const HashSeries& b) {
   return d;
 }
 
+HashSeries without_components(const HashSeries& s,
+                              const std::vector<std::string>& names) {
+  std::vector<std::size_t> keep;
+  HashSeries out;
+  out.seed = s.seed;
+  out.epoch = s.epoch;
+  for (std::size_t j = 0; j < s.component_names.size(); ++j) {
+    if (std::find(names.begin(), names.end(), s.component_names[j]) ==
+        names.end()) {
+      keep.push_back(j);
+      out.component_names.push_back(s.component_names[j]);
+    }
+  }
+  for (const EpochHash& e : s.entries) {
+    EpochHash kept;
+    kept.t = e.t;
+    for (std::size_t j : keep) kept.components.push_back(e.components[j]);
+    kept.world = fold_world(out.component_names, kept.components);
+    out.entries.push_back(std::move(kept));
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // EpochHashLog
 // ---------------------------------------------------------------------------
@@ -253,15 +289,7 @@ void EpochHashLog::record(SimTime now) {
   EpochHash e;
   e.t = now;
   e.components = world_.component_hashes();
-  // World digest folded from (name, digest) pairs — identical to
-  // SnapshotWriter::world_hash over the same sections.
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < e.components.size(); ++i) {
-    const std::string& name = series_.component_names[i];
-    h = fnv1a(name.data(), name.size(), h);
-    h = fnv1a(&e.components[i], sizeof(e.components[i]), h);
-  }
-  e.world = h;
+  e.world = fold_world(series_.component_names, e.components);
   series_.entries.push_back(std::move(e));
 }
 

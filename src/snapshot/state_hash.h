@@ -107,6 +107,13 @@ struct Divergence {
 /// message when they are not.
 Divergence find_divergence(const HashSeries& a, const HashSeries& b);
 
+/// `s` without the named component columns, each world digest refolded
+/// over the columns that remain. Names `s` lacks are skipped. The
+/// bisector's `--ignore=`: a change meant to move only some components
+/// (an event diet moves `sim`) must leave the rest identical.
+HashSeries without_components(const HashSeries& s,
+                              const std::vector<std::string>& names);
+
 /// Passive per-epoch recorder. The owner drives the cadence (Testbed arms
 /// a PeriodicTimer that calls record()), which keeps this library free of
 /// simulator dependencies.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -532,6 +533,213 @@ TEST(EventCore, MatchesReferenceAcrossWheelLevelsWhileClockAdvances) {
 }  // namespace levels
 
 // ---------------------------------------------------------------------------
+// Reserved event order: an event filed later under an order taken earlier
+// fires exactly where at() at reservation time would have put it.
+// ---------------------------------------------------------------------------
+
+namespace reserved {
+
+/// Delays with many same-instant ties (0 and whole 4096-ns buckets from
+/// bucket-aligned times), within-bucket offsets, and wheel levels 1 to 3.
+SimDuration tie_heavy_delay(Rng& rng) {
+  constexpr SimDuration kDelays[] = {0,
+                                     0,
+                                     1,
+                                     4096,
+                                     4096,
+                                     3 * 4096,
+                                     SimDuration{1} << 20,
+                                     (SimDuration{1} << 20) + 4096,
+                                     SimDuration{1} << 28,
+                                     SimDuration{1} << 36};
+  return kDelays[rng.next_u64() % std::size(kDelays)];
+}
+
+/// Per event id: the reserved events it files when it fires (reserved
+/// runs only) and the events it cancels (every run).
+struct Plan {
+  std::vector<std::vector<int>> files;
+  std::vector<std::vector<int>> cancels;
+};
+
+/// A random schedule: every non-leaf event schedules one to three
+/// children. In the reserved run, the reservable children take an order
+/// at creation and are filed later by the event the plan names; in the
+/// reference run they are scheduled with at() on the spot. Leaves draw no
+/// numbers and schedule nothing, so cancelling one changes nothing else.
+class Schedule {
+ public:
+  Schedule(std::uint64_t seed, bool reserved, const Plan* plan)
+      : rng_(Rng::stream(seed, "reserved")), reserved_(reserved), plan_(plan) {}
+
+  void go() {
+    for (int i = 0; i < 8; ++i) create(-1);
+    sim.run_to_completion();
+  }
+
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<int> parent;
+  std::vector<SimTime> when;
+  std::vector<bool> leaf;
+  std::vector<bool> reservable;
+
+ private:
+  void on_fire(int id) {
+    fired.push_back(id);
+    if (!leaf[static_cast<std::size_t>(id)]) {
+      const int children =
+          budget_ > 0 ? 1 + static_cast<int>(rng_.next_u64() % 3) : 0;
+      for (int c = 0; c < children; ++c) create(id);
+    }
+    if (plan_ == nullptr) return;
+    if (reserved_) {
+      for (int x : plan_->files[static_cast<std::size_t>(id)]) {
+        if (!created(x)) continue;
+        const auto i = static_cast<std::size_t>(x);
+        if (when[i] < sim.now()) {
+          ADD_FAILURE() << "event " << x << " filed after its time";
+          continue;
+        }
+        handles_[i] = sim.at_reserved(when[i], orders_[i], [this, x] {
+          on_fire(x);
+        });
+      }
+    }
+    for (int x : plan_->cancels[static_cast<std::size_t>(id)]) {
+      if (created(x)) handles_[static_cast<std::size_t>(x)].cancel();
+    }
+  }
+
+  /// A run whose firing order departs from the planning run can reach a
+  /// planned filing or cancel before the event exists, or file it late.
+  bool created(int x) {
+    if (static_cast<std::size_t>(x) < when.size()) return true;
+    ADD_FAILURE() << "event " << x << " planned before it was created";
+    return false;
+  }
+
+  void create(int parent_id) {
+    const int id = static_cast<int>(when.size());
+    --budget_;
+    when.push_back(sim.now() + tie_heavy_delay(rng_));
+    const std::uint64_t r = rng_.next_u64();
+    parent.push_back(parent_id);
+    leaf.push_back(r % 3 == 0);
+    reservable.push_back(parent_id >= 0 && (r >> 8) % 5 < 2);
+    handles_.emplace_back();
+    orders_.push_back(0);
+    if (reserved_ && reservable.back()) {
+      orders_.back() = sim.reserve_order();
+    } else {
+      handles_.back() = sim.at(when.back(), [this, id] { on_fire(id); });
+    }
+  }
+
+  Rng rng_;
+  bool reserved_;
+  const Plan* plan_;
+  int budget_ = 3000;
+  std::vector<EventHandle> handles_;
+  std::vector<std::uint64_t> orders_;
+};
+
+/// From an uncancelled reference run: each reservable event is filed by
+/// a random non-leaf event firing at or after its parent and before it;
+/// a quarter of the leaves are cancelled by a non-leaf event firing after
+/// they were filed and before they fire.
+Plan make_plan(const Schedule& run0, std::uint64_t seed) {
+  const std::size_t n = run0.when.size();
+  std::vector<std::size_t> index(n);
+  std::vector<std::size_t> nonleaf;  // fire indices of non-leaf events
+  for (std::size_t i = 0; i < run0.fired.size(); ++i) {
+    const auto id = static_cast<std::size_t>(run0.fired[i]);
+    index[id] = i;
+    if (!run0.leaf[id]) nonleaf.push_back(i);
+  }
+  Rng rng = Rng::stream(seed, "reserved-plan");
+  // A random non-leaf event with fire index in [lo, hi), or -1.
+  auto pick = [&](std::size_t lo, std::size_t hi) {
+    const auto a = std::lower_bound(nonleaf.begin(), nonleaf.end(), lo);
+    const auto b = std::lower_bound(nonleaf.begin(), nonleaf.end(), hi);
+    if (a >= b) return -1;
+    const auto k = static_cast<std::ptrdiff_t>(
+        rng.next_u64() % static_cast<std::uint64_t>(b - a));
+    return run0.fired[*(a + k)];
+  };
+  Plan plan;
+  plan.files.resize(n);
+  plan.cancels.resize(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    const int p = run0.parent[x];
+    std::size_t lo = p < 0 ? 0 : index[static_cast<std::size_t>(p)] + 1;
+    if (run0.reservable[x]) {
+      const int filer = pick(lo - 1, index[x]);  // the parent qualifies
+      ES2_CHECK(filer >= 0);
+      plan.files[static_cast<std::size_t>(filer)].push_back(
+          static_cast<int>(x));
+      lo = index[static_cast<std::size_t>(filer)] + 1;
+    }
+    if (run0.leaf[x] && rng.next_u64() % 4 == 0) {
+      const int canceller = pick(lo, index[x]);
+      if (canceller >= 0) {
+        plan.cancels[static_cast<std::size_t>(canceller)].push_back(
+            static_cast<int>(x));
+      }
+    }
+  }
+  return plan;
+}
+
+TEST(EventCore, ReservedOrderFiresAsIfScheduledAtReservation) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Schedule run0(seed, /*reserved=*/false, nullptr);
+    run0.go();
+    const Plan plan = make_plan(run0, seed);
+    Schedule ref(seed, /*reserved=*/false, &plan);
+    ref.go();
+    Schedule res(seed, /*reserved=*/true, &plan);
+    res.go();
+
+    EXPECT_EQ(res.fired, ref.fired) << "seed " << seed;
+    EXPECT_EQ(res.sim.queue().size(), 0u);
+
+    // The schedule covers what the contract promises.
+    std::vector<bool> fired(run0.when.size());
+    for (int id : ref.fired) fired[static_cast<std::size_t>(id)] = true;
+    int ties = 0, used_now = 0, far = 0, cancelled = 0;
+    for (std::size_t i = 1; i < run0.fired.size(); ++i) {
+      ties += run0.when[static_cast<std::size_t>(run0.fired[i])] ==
+              run0.when[static_cast<std::size_t>(run0.fired[i - 1])];
+    }
+    for (std::size_t x = 0; x < run0.when.size(); ++x) {
+      if (!run0.reservable[x]) continue;
+      const SimTime born =
+          run0.when[static_cast<std::size_t>(run0.parent[x])];
+      used_now += run0.when[x] == born;
+      far += run0.when[x] - born >= SimDuration{1} << 20;
+      cancelled += !fired[x];
+    }
+    EXPECT_GT(ties, 100) << "seed " << seed;
+    EXPECT_GT(used_now, 10) << "seed " << seed;
+    EXPECT_GT(far, 10) << "seed " << seed;
+    EXPECT_GT(cancelled, 10) << "seed " << seed;
+    EXPECT_GT(res.sim.queue().stats().far_hits, 0u);
+  }
+}
+
+TEST(EventCoreDeathTest, ReservedOrderMustHaveBeenIssued) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulator sim;
+  const std::uint64_t order = sim.reserve_order();
+  EXPECT_DEATH(sim.at_reserved(0, order + 1, [] {}), "never reserved");
+  sim.at_reserved(0, order, [] {});
+  EXPECT_EQ(sim.run_to_completion(), 1u);
+}
+
+}  // namespace reserved
+
+// ---------------------------------------------------------------------------
 // Perf counters
 // ---------------------------------------------------------------------------
 
@@ -891,11 +1099,12 @@ TEST(WholeCellAllocations, MacroTcpSendFourFlowsWithQueueStopsAllocatesNothing) 
 
 TEST(WholeCellAllocations, MitigatedStormCollapseIsBoundedByPoolGrowth) {
   // run_storm's world with the collapse ramp, shortened; the overload
-  // ladder is armed. A storm drives pending SYN timers, in-flight packets
-  // and continuations to new highs, so the event pool and the block pool
-  // carve fresh slabs (and their index vectors and the near heap double),
-  // and the pending table makes its one full-size reservation.
-  // Nothing allocates per packet or per connection.
+  // ladder is armed. A storm drives in-flight packets and continuations to
+  // new highs, so the block pool carves fresh slabs, and the client's
+  // pending table and SYN timeout FIFO each make their one full-size
+  // reservation. Its SYN timeouts share one event on the FIFO head, so
+  // the event pool barely grows. Nothing allocates per packet or per
+  // connection.
   TestbedOptions o = cell_options(Es2Config::pi_h_r(), false);
   o.guest_params.overload_mitigation = true;
   Testbed tb(o);
@@ -937,10 +1146,12 @@ TEST(WholeCellAllocations, MitigatedStormCollapseIsBoundedByPoolGrowth) {
               static_cast<long long>(pkts));
   EXPECT_GT(client.attempted(), 10000) << "the storm must actually arrive";
   EXPECT_GT(tb.frontend().livelock_detections(), 0);
-  // "Other" is the pending table's one reservation plus capacity
-  // doublings, each logarithmic in its high-water mark: the near heap,
-  // the event slab index, and the server's accept/backlog FIFOs (about 50
-  // here, against ~480k packets).
+  // One event per in-flight SYN would carve ~256 slabs here.
+  EXPECT_LE(event_slabs, 2);
+  // "Other" is the client's two reservations plus capacity doublings,
+  // each logarithmic in its high-water mark: the SYN timeout FIFO up to
+  // its reservation, the near heap, and the server's accept/backlog FIFOs
+  // (about 50 here, against ~480k packets).
   constexpr std::int64_t kReservationsAndDoublings = 96;
   EXPECT_LE(allocs, event_slabs + pool_slabs + kReservationsAndDoublings);
 }

@@ -266,6 +266,46 @@ TEST(HashSeries, BisectorNamesTheGuiltyComponent) {
   EXPECT_EQ(find_divergence(a, period).epoch, -2);
 }
 
+TEST(HashSeries, IgnoreFilterComparesOnlyTheRemainingComponents) {
+  const HashSeries a = tiny_series();
+  HashSeries b = a;
+  b.entries[2].components[0] ^= 0x1;  // sim splits at epoch 2
+  b.entries[2].world ^= 0x1;
+  ASSERT_EQ(find_divergence(a, b).epoch, 2);
+
+  const std::vector<std::string> sim = {"sim"};
+  const HashSeries fa = without_components(a, sim);
+  EXPECT_EQ(fa.component_names, std::vector<std::string>{"cfs"});
+  ASSERT_EQ(fa.entries.size(), a.entries.size());
+  EXPECT_EQ(fa.entries[2].components,
+            std::vector<std::uint64_t>{a.entries[2].components[1]});
+  EXPECT_EQ(find_divergence(fa, without_components(b, sim)).epoch, -1);
+
+  // A later cfs split is still found with sim ignored.
+  b.entries[4].components[1] ^= 0x1;
+  const Divergence d = find_divergence(fa, without_components(b, sim));
+  EXPECT_EQ(d.epoch, 4);
+  EXPECT_EQ(d.components, std::vector<std::string>{"cfs"});
+
+  // Names the series lacks are skipped.
+  EXPECT_EQ(without_components(a, {"vhost"}).component_names,
+            a.component_names);
+
+  // The refolded world digest is the one a recorder of the remaining
+  // components alone would have written.
+  ToyComponent x(1), y(2);
+  WorldSnapshotter both, only_y;
+  both.add("x", x);
+  both.add("y", y);
+  only_y.add("y", y);
+  EpochHashLog log_both(both, SnapshotOptions{}, 1);
+  EpochHashLog log_y(only_y, SnapshotOptions{}, 1);
+  log_both.record(msec(10));
+  log_y.record(msec(10));
+  EXPECT_EQ(without_components(log_both.series(), {"x"}).entries[0].world,
+            log_y.series().entries[0].world);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-world determinism
 // ---------------------------------------------------------------------------

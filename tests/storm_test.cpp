@@ -2,15 +2,18 @@
 // guest is flagged kLivelock, not a generic kNoProgress), the watchdog's
 // stall tolerance, the graceful-degradation ladder clearing the livelock
 // with goodput retained, calm-ramp passivity of the mitigation machinery,
-// bounded-container overflow accounting, and same-seed determinism of
-// storm runs.
+// bounded-container overflow accounting, the client's one-timer SYN
+// timeout FIFO, and same-seed determinism of storm runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 
+#include "apps/httpd.h"
+#include "apps/storm.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
+#include "harness/testbed.h"
 #include "sim/simulator.h"
 
 namespace es2 {
@@ -192,6 +195,60 @@ TEST(Storm, CalmRampMitigationIsPassive) {
   EXPECT_EQ(on.attempted, off.attempted);
   EXPECT_EQ(on.established, off.established);
   EXPECT_EQ(on.served, off.served);
+}
+
+/// run_storm's world with the client and simulator in reach: the
+/// collapse ramp of collapse_options() runs for its storm span.
+struct CollapseWorld {
+  explicit CollapseWorld(const StormOptions& o)
+      : tb(testbed(o)),
+        server(tb.guest(), tb.frontend(), /*base_flow=*/4000,
+               /*client_conns=*/1, o.workers, costs(o)),
+        client(tb.peer(), server.listen_flow(), o.shape, o.syn_rto,
+               o.max_retries, /*max_pending=*/65536, o.syn_payload) {
+    tb.start();
+    tb.sim().run_for(o.warmup);
+    client.start();
+    tb.sim().run_for(o.shape.ramp_up + o.shape.hold + o.shape.ramp_down);
+  }
+
+  static TestbedOptions testbed(const StormOptions& o) {
+    TestbedOptions to;
+    to.config = o.config;
+    to.vhost_core = 4;
+    to.guest_params.overload_mitigation = o.mitigation;
+    return to;
+  }
+  static ApacheCosts costs(const StormOptions& o) {
+    ApacheCosts c;
+    c.syn_backlog = o.syn_backlog;
+    c.accept_queue = o.accept_queue;
+    return c;
+  }
+
+  Testbed tb;
+  ApacheServer server;
+  StormClient client;
+};
+
+TEST(Storm, CollapseKeepsFewEventsLive) {
+  // The client's SYN timeouts share one event on the head of a FIFO; one
+  // event per in-flight SYN would keep ~65k live here.
+  CollapseWorld w(collapse_options(/*mitigation=*/true));
+  EXPECT_GT(w.client.attempted(), 10000) << "the storm must actually arrive";
+  EXPECT_GT(w.client.retries(), 0);
+  EXPECT_LT(w.tb.sim().queue().stats().peak_live, 1024u);
+}
+
+TEST(Storm, StoppedClientDrainsItsSynTimeoutsWithinOneRto) {
+  const StormOptions o = collapse_options(/*mitigation=*/true);
+  CollapseWorld w(o);
+  ASSERT_GT(w.client.syns_awaiting_rto(), 0u);
+  const std::int64_t retries = w.client.retries();
+  w.client.stop();
+  w.tb.sim().run_for(o.syn_rto);
+  EXPECT_EQ(w.client.syns_awaiting_rto(), 0u);
+  EXPECT_EQ(w.client.retries(), retries);
 }
 
 TEST(Storm, SameSeedRunsAreIdentical) {

@@ -10,13 +10,20 @@
 // name the guilty subsystem — "cfs diverged at epoch 31 (t=310ms)" is a
 // far smaller haystack than "the CSV differs".
 //
+// `--ignore=<component>` (repeatable) drops that column from both series
+// before comparing, so `--ignore=sim` exits 0 exactly when every model
+// component agrees in every epoch: the check for a change meant to move
+// only the event kernel's own state (fewer live events).
+//
 // Exit codes: 0 = identical series, 1 = divergence found, 2 = usage or
 // incomparable inputs (different epoch period / component sets).
 //
-// Usage: divergence_bisect A.json B.json [--quiet]
+// Usage: divergence_bisect A.json B.json [--quiet] [--ignore=<component>]...
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "snapshot/state_hash.h"
 
@@ -54,9 +61,11 @@ int usage(const char* bad) {
     std::fprintf(stderr, "divergence_bisect: unexpected argument '%s'\n", bad);
   }
   std::fprintf(stderr,
-               "usage: divergence_bisect A.json B.json [--quiet]\n"
+               "usage: divergence_bisect A.json B.json [--quiet] "
+               "[--ignore=<component>]...\n"
                "  A/B: es2-hash-v1 epoch-hash series "
-               "(bench --hash-epochs=<path>)\n");
+               "(bench --hash-epochs=<path>)\n"
+               "  --ignore: skip that component's column (repeatable)\n");
   return 2;
 }
 
@@ -66,9 +75,13 @@ int main(int argc, char** argv) {
   const char* path_a = nullptr;
   const char* path_b = nullptr;
   bool quiet = false;
+  std::vector<std::string> ignore;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
+    } else if (std::strncmp(argv[i], "--ignore=", 9) == 0 &&
+               argv[i][9] != '\0') {
+      ignore.emplace_back(argv[i] + 9);
     } else if (argv[i][0] == '-' || path_b != nullptr) {
       return usage(argv[i]);  // an unknown flag or a third operand
     } else {
@@ -79,6 +92,21 @@ int main(int argc, char** argv) {
 
   HashSeries a, b;
   if (!load_series(path_a, &a) || !load_series(path_b, &b)) return 2;
+  for (const std::string& name : ignore) {
+    const auto has = [&name](const HashSeries& s) {
+      return std::find(s.component_names.begin(), s.component_names.end(),
+                       name) != s.component_names.end();
+    };
+    if (!has(a) && !has(b)) {
+      std::fprintf(stderr, "divergence_bisect: no component '%s'\n",
+                   name.c_str());
+      return usage(nullptr);
+    }
+  }
+  if (!ignore.empty()) {
+    a = without_components(a, ignore);
+    b = without_components(b, ignore);
+  }
 
   const Divergence d = find_divergence(a, b);
   if (d.epoch == -2) {
